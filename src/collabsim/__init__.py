@@ -47,6 +47,7 @@ from .profiles import (
     BuildConfig,
     CountryProfileSet,
     Profile,
+    ProfileFold,
     accumulate,
     build_profiles,
     dump_rows,
@@ -79,6 +80,7 @@ __all__ = [
     "GrowthRateResult",
     "INDICATORS",
     "Profile",
+    "ProfileFold",
     "PublicationRecord",
     "RecordError",
     "RegionMap",

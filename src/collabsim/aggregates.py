@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from .classify import CollabKind, CollaborationType, birc_share
-from .corpus import PublicationRecord, RegionMap
-from .profiles import CountryProfileSet
-from .similarity import UNKNOWN_REGION, CountrySimilarityReport
+from .corpus import UNKNOWN_REGION, PublicationRecord, RegionMap
+
+if TYPE_CHECKING:  # annotations only; profiles imports this module
+    from .profiles import CountryProfileSet
+    from .similarity import CountrySimilarityReport
 
 WHISKER = 1.5
 

@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_YEAR_WINDOW = (1900, 2100)
 
+# region of a country that no region map places
+UNKNOWN_REGION = "UNKNOWN"
+
 # defect-handling actions
 SKIP = "skip"
 FAIL = "fail"
@@ -82,6 +85,8 @@ def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordError(f"invalid JSON: {exc.msg}", line_no) from exc
+    except RecursionError as exc:
+        raise RecordError("invalid JSON: nested too deeply", line_no) from exc
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object", line_no)
 
@@ -325,7 +330,7 @@ def load_region_map(path) -> RegionMap:
     """
     entries: dict[str, str] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

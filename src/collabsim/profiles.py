@@ -4,15 +4,23 @@ A publication contributes one count per (country, subject) pair and one per
 ordered (country, partner) pair; there is no fractionalization. All counts
 are integers, so shard-local tables merge exactly and the build is
 deterministic for any record order or partitioning.
+
+:class:`ProfileFold` is the bulk path: it interns country, subject and year
+codes to dense ids and folds records into integer count arrays in bounded
+chunks. :func:`accumulate` is the per-record path over the same model.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .classify import CollabKind, CollaborationType, TypeCounts, classify
-from .corpus import PublicationRecord
+import numpy as np
+
+from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
+from .classify import CollabKind, CollaborationType, TypeCounts
+from .corpus import UNKNOWN_REGION, PublicationRecord, RegionMap
 
 SUBJECT_SPACE = "subject"
 PARTNER_SPACE = "partner"
@@ -26,12 +34,11 @@ MEGA = "mega"
 DISC_FAMILIES = (DOMESTIC, INTERNATIONAL, BIRC, MIRC, MEGA)
 PARTNER_FAMILIES = (INTERNATIONAL, BIRC, MIRC, MEGA)
 
-_FAMILY_BY_KIND = {
-    CollabKind.DOMESTIC: DOMESTIC,
-    CollabKind.BILATERAL: BIRC,
-    CollabKind.MULTILATERAL: MIRC,
-    CollabKind.MEGA: MEGA,
-}
+# kind index of ProfileFold's count arrays: 0 domestic, 1 birc, 2 mirc, 3 mega
+_KINDS = (CollabKind.DOMESTIC, CollabKind.BILATERAL, CollabKind.MULTILATERAL,
+          CollabKind.MEGA)
+_KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
+_FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
 
 
 @dataclass
@@ -168,6 +175,189 @@ class BuildConfig:
                 and (self.year_max is None or year <= self.year_max))
 
 
+# Pending pair work, k * (k + m) per record of k countries and m subjects,
+# at which ProfileFold flushes. It bounds the flush temporaries whatever the
+# consortium sizes; a bound on the record count does not.
+FLUSH_PAIRS = 1 << 14
+
+
+class _Ids(dict):
+    """Code -> dense id, assigned in order of first lookup."""
+
+    def __missing__(self, key) -> int:
+        self[key] = n = len(self)
+        return n
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of range(start, start + length) over the groups."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - lengths - starts, lengths)
+
+
+def _scatter_add(total: np.ndarray, index: np.ndarray) -> None:
+    """Add one count per entry of ``index`` into the flat cells of ``total``."""
+    counts = np.bincount(index)
+    total.reshape(-1)[:len(counts)] += counts
+
+
+def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``total`` zero-padded to ``shape`` (no axis shrinks)."""
+    if total.shape == shape:
+        return total
+    grown = np.zeros(shape, dtype=np.int64)
+    grown[tuple(slice(0, n) for n in total.shape)] = total
+    return grown
+
+
+def _profile(namespace: str, row: np.ndarray, names: list[str]) -> Profile:
+    nonzero = np.flatnonzero(row)
+    return Profile(namespace, dict(zip([names[j] for j in nonzero.tolist()],
+                                       row[nonzero].tolist())))
+
+
+class ProfileFold:
+    """Whole-counting fold of records into interned-id count arrays.
+
+    ``add`` only interns the record's codes and appends their ids to flat
+    buffers; every ``FLUSH_PAIRS`` of pending pair work the buffers are
+    counted with numpy into ``disc[kind, country, subject]``,
+    ``partner[kind, country, partner]``, ``pubs[country, kind, year]`` and
+    ``regions[region, kind, year]``. ``table`` and ``region_counts`` then
+    give the same results as :func:`accumulate` and
+    :meth:`RegionYearCounts.add` over the same records. The pooled
+    international family is derived as birc + mirc + mega.
+    """
+
+    def __init__(self, mega_threshold: int | None = None,
+                 region_map: RegionMap | None = None,
+                 region_counting: str = REGION_DEDUP):
+        if mega_threshold is not None and mega_threshold < 3:
+            raise ValueError("mega_threshold must be >= 3")
+        if region_counting not in REGION_COUNTING_MODES:
+            raise ValueError(
+                f"unknown region counting mode {region_counting!r}")
+        self.mega_threshold = mega_threshold
+        self.region_map = region_map
+        self.region_counting = region_counting
+        self._countries, self._subjects, self._years = _Ids(), _Ids(), _Ids()
+        self._regions = _Ids()
+        self._region_of: list[int] = []  # country id -> region id
+        self._disc = np.zeros((4, 0, 0), dtype=np.int64)
+        self._partner = np.zeros((4, 0, 0), dtype=np.int64)
+        self._pubs = np.zeros((0, 4, 0), dtype=np.int64)
+        self._region_years = np.zeros((0, 4, 0), dtype=np.int64)
+        self._reset_buffers()
+
+    def _reset_buffers(self) -> None:
+        # per country / subject of each record, then per record
+        self._c, self._s = array("i"), array("i")
+        self._k, self._m, self._y = array("i"), array("i"), array("i")
+        self._pending = 0
+
+    def add(self, record: PublicationRecord) -> None:
+        """Fold one record: intern its codes and buffer their ids."""
+        k = len(record.countries)
+        if k < 1:
+            raise ValueError("record has no countries")
+        m = len(record.subjects)
+        self._c.extend(map(self._countries.__getitem__, record.countries))
+        self._s.extend(map(self._subjects.__getitem__, record.subjects))
+        self._k.append(k)
+        self._m.append(m)
+        self._y.append(self._years[record.year])
+        self._pending += k * (k + m)
+        if self._pending >= FLUSH_PAIRS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._k:
+            return
+        n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
+        for country in list(self._countries)[len(self._region_of):]:
+            region = (self.region_map.region_of(country, UNKNOWN_REGION)
+                      if self.region_map is not None else UNKNOWN_REGION)
+            self._region_of.append(self._regions[region])
+        n_r = len(self._regions)
+        self._disc = _grown(self._disc, (4, n_c, n_s))
+        self._partner = _grown(self._partner, (4, n_c, n_c))
+        self._pubs = _grown(self._pubs, (n_c, 4, n_y))
+        self._region_years = _grown(self._region_years, (n_r, 4, n_y))
+
+        c = np.frombuffer(self._c, dtype=np.intc).astype(np.intp)
+        s = np.frombuffer(self._s, dtype=np.intc).astype(np.intp)
+        k = np.frombuffer(self._k, dtype=np.intc).astype(np.intp)
+        m = np.frombuffer(self._m, dtype=np.intc).astype(np.intp)
+        year = np.frombuffer(self._y, dtype=np.intc).astype(np.intp)
+        self._reset_buffers()
+
+        kind = np.minimum(k, 3) - 1
+        if self.mega_threshold is not None:
+            kind[k >= self.mega_threshold] = 3
+        # one entry per (record, country)
+        rec = np.repeat(np.arange(len(k)), k)
+        row = kind[rec] * n_c + c
+        _scatter_add(self._disc, np.repeat(row, m[rec]) * n_s
+                     + s[_ranges((np.cumsum(m) - m)[rec], m[rec])])
+        # every ordered (country, partner) pair, diagonal included: the
+        # diagonal and the domestic kind are dropped when the table is read
+        _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
+                     + c[_ranges((np.cumsum(k) - k)[rec], k[rec])])
+        _scatter_add(self._pubs, (c * 4 + kind[rec]) * n_y + year[rec])
+
+        region = np.asarray(self._region_of, dtype=np.intp)[c]
+        if self.region_counting == REGION_DEDUP:
+            distinct = np.unique(rec * n_r + region)
+            rec, region = distinct // n_r, distinct % n_r
+        _scatter_add(self._region_years, (region * 4 + kind[rec]) * n_y + year[rec])
+
+    def table(self) -> dict[str, CountryProfileSet]:
+        """The per-country profile sets of every record folded so far."""
+        self._flush()
+        subjects, countries = list(self._subjects), list(self._countries)
+        years = list(self._years)
+        partner = self._partner.copy()
+        diagonal = np.arange(len(countries))
+        partner[:, diagonal, diagonal] = 0
+        table: dict[str, CountryProfileSet] = {}
+        for i, country in enumerate(countries):
+            disc = self._disc[:, i]
+            part = partner[:, i]
+            pubs = self._pubs[i]
+            by_year: dict[int, dict[str, int]] = {}
+            for j, t in np.argwhere(pubs).tolist():
+                by_year.setdefault(years[t], {})[_KINDS[j].value] = int(pubs[j, t])
+            n_dom, n_birc, n_mirc, n_mega = pubs.sum(axis=1).tolist()
+            table[country] = CountryProfileSet(
+                country=country,
+                disciplinary={
+                    INTERNATIONAL: _profile(SUBJECT_SPACE, disc[1:].sum(axis=0),
+                                            subjects),
+                    **{family: _profile(SUBJECT_SPACE, disc[j], subjects)
+                       for j, family in enumerate(_KIND_FAMILIES)}},
+                partner={
+                    INTERNATIONAL: _profile(PARTNER_SPACE, part[1:].sum(axis=0),
+                                            countries),
+                    **{family: _profile(PARTNER_SPACE, part[j], countries)
+                       for j, family in enumerate(_KIND_FAMILIES) if j}},
+                pub_counts=TypeCounts(n_dom, n_birc, n_mirc, n_mega, by_year),
+            )
+        return table
+
+    def region_counts(self) -> RegionYearCounts:
+        """Per-region annual counts by kind of every record folded so far."""
+        self._flush()
+        years = list(self._years)
+        counts: dict[str, dict[str, dict[int, int]]] = {}
+        regions = list(self._regions)
+        for r, j, t in np.argwhere(self._region_years).tolist():
+            by_kind = counts.setdefault(regions[r], {})
+            by_kind.setdefault(_KINDS[j].value, {})[years[t]] = int(
+                self._region_years[r, j, t])
+        return RegionYearCounts(self.region_counting, counts)
+
+
 def build_profiles(records: Iterable[PublicationRecord],
                    config: BuildConfig | None = None,
                    ) -> dict[str, CountryProfileSet]:
@@ -177,12 +367,11 @@ def build_profiles(records: Iterable[PublicationRecord],
     covers exactly the countries appearing in the kept records.
     """
     config = config or BuildConfig()
-    table: dict[str, CountryProfileSet] = {}
+    fold = ProfileFold(config.mega_threshold)
     for record in records:
-        if not config.keeps(record.year):
-            continue
-        accumulate(table, record, classify(record, config.mega_threshold))
-    return table
+        if config.keeps(record.year):
+            fold.add(record)
+    return fold.table()
 
 
 def merge_tables(a: dict[str, CountryProfileSet],

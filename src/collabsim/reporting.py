@@ -32,7 +32,6 @@ from .aggregates import (
     scatter_dataset,
     threshold_flags,
 )
-from .classify import classify
 from .corpus import (
     CorpusStats,
     RegionMap,
@@ -40,7 +39,7 @@ from .corpus import (
     iter_accepted,
     load_region_map,
 )
-from .profiles import CountryProfileSet, accumulate, dump_rows
+from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
     INDICATORS,
     CountrySimilarityReport,
@@ -153,21 +152,19 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Stream the corpus once: validate, classify, accumulate profiles and
-    region counts, then derive the similarity reports and world baseline."""
+    """Stream the corpus once: validate and fold the profiles and region
+    counts, then derive the similarity reports and world baseline."""
     region_map = load_region_map(cfg.regions)
     stats = CorpusStats()
-    table: dict[str, CountryProfileSet] = {}
-    region_counts = RegionYearCounts(mode=cfg.region_counting)
+    fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
     n_year_filtered = 0
-    with open(cfg.input, encoding="utf-8") as fh:
+    with open(cfg.input, encoding="utf-8-sig") as fh:
         for record in iter_accepted(fh, region_map, cfg.policy(), stats):
             if not cfg.year_min <= record.year <= cfg.year_max:
                 n_year_filtered += 1
                 continue
-            ctype = classify(record, cfg.mega_threshold)
-            accumulate(table, record, ctype)
-            region_counts.add(record, ctype, region_map)
+            fold.add(record)
+    table, region_counts = fold.table(), fold.region_counts()
     reports = [five_indicators(table[c], region_map) for c in sorted(table)]
     baseline = world_baseline(reports, cfg.min_pubs)
     return PipelineResult(region_map, stats, n_year_filtered, table,
@@ -382,7 +379,7 @@ def run_validate(cfg: RunConfig, stream=None) -> int:
     """Validate the corpus and print the counters as one JSON line."""
     cfg.validate()
     region_map = load_region_map(cfg.regions) if cfg.regions else None
-    with open(cfg.input, encoding="utf-8") as fh:
+    with open(cfg.input, encoding="utf-8-sig") as fh:
         stats = CorpusStats()
         for _ in iter_accepted(fh, region_map, cfg.policy(), stats):
             pass

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import RegionMap
+from .corpus import UNKNOWN_REGION, RegionMap
 from .profiles import BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet, Profile
-
-UNKNOWN_REGION = "UNKNOWN"
 
 INDICATORS = (
     "sim_dom_int",

@@ -19,6 +19,7 @@ and fully determined by the scenario seed.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -49,6 +50,33 @@ _KNOWN_KEYS = {
 
 class ScenarioError(ValueError):
     """The scenario description is invalid."""
+
+
+def _number(spec: dict, key: str, default, kind=float):
+    """``spec[key]`` (or ``default``) converted by ``kind``; a value that is
+    not a finite number raises :class:`ScenarioError`."""
+    value = spec.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _array(spec: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{key} must be an array of numbers") from exc
+
+
+def _strings(spec: dict, key: str) -> list:
+    values = spec[key]
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ScenarioError(f"{key} must be a list of strings")
+    return values
 
 
 def _default_countries(n: int) -> list[str]:
@@ -97,24 +125,25 @@ class Scenario:
             raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
 
         seed = spec.get("seed", 1)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ScenarioError("seed must be an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ScenarioError("seed must be a non-negative integer")
         structure_rng = np.random.default_rng([seed, 0])
 
         if "countries" in spec:
-            countries = tuple(normalize_country(c) for c in spec["countries"])
+            countries = tuple(normalize_country(c) for c in _strings(spec, "countries"))
         else:
-            countries = tuple(_default_countries(int(spec.get("n_countries", 20))))
+            countries = tuple(_default_countries(_number(spec, "n_countries", 20, int)))
         if "subjects" in spec:
-            subjects = tuple(str(s) for s in spec["subjects"])
+            subjects = tuple(_strings(spec, "subjects"))
         else:
-            subjects = tuple(f"S{i:03d}" for i in range(int(spec.get("n_subjects", 40))))
+            subjects = tuple(f"S{i:03d}"
+                             for i in range(_number(spec, "n_subjects", 40, int)))
         n_c, n_s = len(countries), len(subjects)
 
         if "base_topic" in spec:
-            base = np.asarray(spec["base_topic"], dtype=float)
+            base = _array(spec, "base_topic")
         else:
-            alpha = float(spec.get("base_concentration", 0.2))
+            alpha = _number(spec, "base_concentration", 0.2)
             if alpha <= 0:
                 raise ScenarioError("base_concentration must be positive")
             if spec.get("shared_base", False):
@@ -124,16 +153,16 @@ class Scenario:
                 base = structure_rng.dirichlet(np.full(n_s, alpha), size=n_c)
 
         if "global_agenda" in spec:
-            agenda = np.asarray(spec["global_agenda"], dtype=float)
+            agenda = _array(spec, "global_agenda")
         else:
             agenda = np.full(n_s, 1.0 / n_s)
 
         mix = spec.get("type_mix", {"domestic": 0.6, "birc": 0.25, "mirc": 0.15})
         try:
             type_mix = (float(mix["domestic"]), float(mix["birc"]), float(mix["mirc"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(
-                "type_mix needs keys domestic, birc, mirc") from exc
+                "type_mix needs numbers under keys domestic, birc, mirc") from exc
 
         if "mirc_size" in spec:
             try:
@@ -147,7 +176,7 @@ class Scenario:
             mirc_size = {k: weights[k] / total for k in sizes}
 
         if "affinity" in spec:
-            affinity = np.asarray(spec["affinity"], dtype=float)
+            affinity = _array(spec, "affinity")
         else:
             affinity = np.ones((n_c, n_c))
             np.fill_diagonal(affinity, 0.0)
@@ -155,7 +184,7 @@ class Scenario:
         years = spec.get("years", [2008, 2017])
         try:
             years = (int(years[0]), int(years[1]))
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
             raise ScenarioError("years must be a [first, last] pair") from exc
 
         scenario = cls(
@@ -166,10 +195,10 @@ class Scenario:
             type_mix=type_mix,
             mirc_size=mirc_size,
             affinity=affinity,
-            drift_birc=float(spec.get("drift_birc", 0.2)),
-            drift_mirc=float(spec.get("drift_mirc", 0.8)),
+            drift_birc=_number(spec, "drift_birc", 0.2),
+            drift_mirc=_number(spec, "drift_mirc", 0.8),
             years=years,
-            pubs_per_country_year=float(spec.get("pubs_per_country_year", 50.0)),
+            pubs_per_country_year=_number(spec, "pubs_per_country_year", 50.0),
             seed=seed,
         )
         scenario.validate()

@@ -77,24 +77,47 @@ def test_countries_csv_shape(inputs, tmp_path):
                 assert len(frac) == 6
 
 
+DEEP_JSON = "[" * 100_000
+
+
 def test_validate_reports_skips(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(CORPUS + "garbage\n{bad json\n")
+    corpus.write_text(CORPUS + "garbage\n{bad json\n" + DEEP_JSON + "\n")
     assert _run(["validate", "--input", corpus]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["total_lines"] == 8
+    assert stats["total_lines"] == 9
     assert stats["accepted"] == 6
-    assert stats["skipped_malformed"] == 2
+    assert stats["skipped_malformed"] == 3
     assert stats["year_range"] == [2010, 2012]
 
 
 def test_validate_fail_fast_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("garbage\n")
-    assert _run(["validate", "--input", corpus, "--fail-fast"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["exit_code"] == 2
-    assert "line 1" in err["error"]
+    for line in ("garbage", DEEP_JSON):
+        corpus.write_text(line + "\n")
+        assert _run(["validate", "--input", corpus, "--fail-fast"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 2
+        assert "line 1" in err["error"]
+
+
+def test_utf8_bom_inputs(inputs, tmp_path, capsys):
+    corpus, regions = inputs
+    bom = b"\xef\xbb\xbf"
+    corpus_bom = tmp_path / "corpus_bom.jsonl"
+    corpus_bom.write_bytes(bom + corpus.read_bytes())
+    regions_bom = tmp_path / "regions_bom.csv"
+    regions_bom.write_bytes(bom + regions.read_bytes())
+    assert _run(["validate", "--input", corpus_bom]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["accepted"], stats["skipped_malformed"]) == (6, 0)
+    assert _run(["report", "--input", corpus, "--regions", regions,
+                 "--out", tmp_path / "plain"]) == 0
+    assert _run(["report", "--input", corpus_bom, "--regions", regions_bom,
+                 "--out", tmp_path / "bom"]) == 0
+    for name in REPORT_FILES[:-1]:  # the manifest holds the input digests
+        assert ((tmp_path / "bom" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
 
 
 def test_missing_region_map_exits_2_without_outputs(inputs, tmp_path, capsys):
@@ -232,11 +255,14 @@ def test_synth_roundtrip_through_pipeline(tmp_path):
 
 def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"seed": 1, "drift_mirc": 3.0}))
     corpus = tmp_path / "corpus.jsonl"
-    assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
-    assert not corpus.exists()
-    capsys.readouterr()
+    for spec in ({"seed": 1, "drift_mirc": 3.0},
+                 {"seed": 1, "n_countries": "abc"},
+                 {"seed": 1, "countries": [1, 2, 3]}):
+        scenario.write_text(json.dumps(spec))
+        assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
+        assert not corpus.exists()
+        assert json.loads(capsys.readouterr().err)["exit_code"] == 2
 
 
 def test_module_entry_point():

@@ -62,6 +62,7 @@ def test_parse_ignores_extra_fields():
     ('{"id":"x","year":2000,"subjects":["A"],"countries":["NLD"]}', "malformed", None),
     ('{"id":"x","year":2000,"subjects":[""],"countries":["NL"]}', "malformed", None),
     ("", "malformed", None),
+    pytest.param("[" * 100_000, "malformed", "nested", id="deep-nesting"),
 ])
 def test_parse_defects(line, category, named):
     with pytest.raises(RecordError) as err:
@@ -97,6 +98,12 @@ def test_load_region_map(tmp_path):
     assert rmap.region_of("NL") == "Europe & Central Asia"
     assert "ZA" in rmap
     assert rmap.regions == ("Europe & Central Asia", "Sub-Saharan Africa")
+
+
+def test_load_region_map_utf8_bom(tmp_path):
+    path = tmp_path / "regions.csv"
+    path.write_bytes(b"\xef\xbb\xbfcountry,region\nNL,Europe & Central Asia\n")
+    assert load_region_map(path).entries == {"NL": "Europe & Central Asia"}
 
 
 def test_load_region_map_conflict(tmp_path):

@@ -1,13 +1,17 @@
 import random
+import string
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collabsim.aggregates import RegionYearCounts
 from collabsim.classify import classify
-from collabsim.corpus import PublicationRecord
+from collabsim.corpus import PublicationRecord, RegionMap
 from collabsim.profiles import (
     BIRC,
     DOMESTIC,
+    FLUSH_PAIRS,
     INTERNATIONAL,
     MIRC,
     PARTNER_SPACE,
@@ -15,6 +19,7 @@ from collabsim.profiles import (
     BuildConfig,
     CountryProfileSet,
     Profile,
+    ProfileFold,
     accumulate,
     build_profiles,
     dump_rows,
@@ -190,21 +195,96 @@ def test_sharded_build_equals_single_pass():
     assert _tables_equal(whole, merged)
 
 
+def _pair_work(records):
+    return sum(len(r.countries) * (len(r.countries) + len(r.subjects))
+               for r in records)
+
+
 def test_build_matches_naive_recount():
     rng = random.Random(7)
-    records = random_records(rng, 500)
-    table = build_profiles(records)
-    reference = recount(records)
-    assert set(table) == set(reference)
-    for country, ps in table.items():
-        ref = reference[country]
-        for family in ps.disciplinary:
-            assert ps.disciplinary[family].counts == dict(ref["disc"][family])
-        for family in ps.partner:
-            assert ps.partner[family].counts == dict(ref["part"][family])
-        assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
-        assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
-        assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
+    records = random_records(rng, 2500, max_countries=7)
+    assert _pair_work(records) > 3 * FLUSH_PAIRS  # several fold flushes
+    for config in (BuildConfig(), BuildConfig(mega_threshold=3),
+                   BuildConfig(year_min=2010, year_max=2014, mega_threshold=5)):
+        table = build_profiles(records, config)
+        reference = recount(records, config.mega_threshold, config.year_min,
+                            config.year_max)
+        assert set(table) == set(reference)
+        for country, ps in table.items():
+            ref = reference[country]
+            for family in ps.disciplinary:
+                assert ps.disciplinary[family].counts == dict(ref["disc"][family])
+            for family in ps.partner:
+                assert ps.partner[family].counts == dict(ref["part"][family])
+            assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
+            assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
+            assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
+            assert ps.pub_counts.n_mega == ref["n"]["mega"]
+
+
+# --- ProfileFold against the per-record path ------------------------------
+
+def _per_record(records, mega_threshold=None, region_map=None, mode="dedup"):
+    table, counts = {}, RegionYearCounts(mode)
+    for rec in records:
+        ctype = classify(rec, mega_threshold)
+        accumulate(table, rec, ctype)
+        counts.add(rec, ctype, region_map)
+    return table, counts
+
+
+def _folded(records, mega_threshold=None, region_map=None, mode="dedup"):
+    fold = ProfileFold(mega_threshold, region_map, mode)
+    for rec in records:
+        fold.add(rec)
+    return fold.table(), fold.region_counts()
+
+
+# AA, AB and AC unmapped (UNKNOWN region), the rest split over two regions
+_PARTIAL_MAP = RegionMap({c: ("North" if i % 2 else "South")
+                          for i, c in enumerate(a + b for a in "ABC" for b in "ABCDEF")
+                          if i >= 3})
+
+
+@pytest.mark.parametrize("mega_threshold", [None, 3, 5])
+@pytest.mark.parametrize("mode", ["dedup", "country"])
+@pytest.mark.parametrize("region_map", [None, _PARTIAL_MAP], ids=["no-map", "map"])
+def test_fold_matches_per_record_path(mega_threshold, mode, region_map):
+    rng = random.Random(11)
+    records = random_records(rng, 1800, n_countries=14, max_countries=8,
+                             max_subjects=4, years=(2005, 2020))
+    assert _pair_work(records) > 3 * FLUSH_PAIRS
+    reference = _per_record(records, mega_threshold, region_map, mode)
+    assert _folded(records, mega_threshold, region_map, mode) == reference
+    # shards folded separately merge to the serial result
+    shards = [_folded(records[i::3], mega_threshold, region_map, mode)
+              for i in range(3)]
+    assert reduce(merge_tables, [t for t, _ in shards]) == reference[0]
+    assert reduce(RegionYearCounts.merge, [c for _, c in shards]) == reference[1]
+
+
+def test_fold_record_larger_than_flush():
+    codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
+    big = _rec("big", {"S1", "S2", "S3"}, codes[:130])
+    assert _pair_work([big]) > FLUSH_PAIRS
+    records = [_rec("a", {"S1"}, codes[:2]), big, _rec("b", {"S2"}, codes[5:9]),
+               _rec("c", {"S3"}, codes[200:201], year=2011)]
+    assert _folded(records, 20) == _per_record(records, 20)
+
+
+def test_fold_takes_any_year():
+    records = [_rec("a", {"A"}, {"NL", "ES"}, year=-40),
+               _rec("b", {"A"}, {"NL"}, year=10**12)]
+    assert build_profiles(records) == _per_record(records)[0]
+
+
+def test_fold_keeps_classify_checks():
+    with pytest.raises(ValueError, match="mega_threshold"):
+        ProfileFold(mega_threshold=2)
+    with pytest.raises(ValueError, match="counting mode"):
+        ProfileFold(region_counting="per-capita")
+    with pytest.raises(ValueError, match="no countries"):
+        ProfileFold().add(_rec("p", {"A"}, set()))
 
 
 def test_decomposition_invariants_hold_after_build():

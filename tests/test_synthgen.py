@@ -157,6 +157,22 @@ def test_scenario_rejects_oversized_mirc_sets():
         _scenario(n_countries=4, mirc_size={"5": 1.0})
 
 
+@pytest.mark.parametrize("overrides,named", [
+    ({"n_countries": "abc"}, "n_countries"),
+    ({"pubs_per_country_year": "x"}, "pubs_per_country_year"),
+    ({"pubs_per_country_year": math.inf}, "pubs_per_country_year"),
+    ({"type_mix": {"domestic": "x", "birc": 0.2, "mirc": 0.2}}, "type_mix"),
+    ({"countries": [1, 2, 3]}, "countries"),
+    ({"subjects": 5}, "subjects"),
+    ({"base_topic": [["a"]]}, "base_topic"),
+    ({"seed": -1}, "seed"),
+    ({"years": {"first": 2010}}, "years"),
+])
+def test_scenario_rejects_wrong_types(overrides, named):
+    with pytest.raises(ScenarioError, match=named):
+        _scenario(**overrides)
+
+
 def test_scenario_rejects_unknown_keys():
     with pytest.raises(ScenarioError, match="unknown scenario keys"):
         Scenario.from_dict({"seed": 1, "n_contries": 5})
