@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import re
+import string
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -35,6 +36,13 @@ MISSING_COUNTRY = "missing_country"
 MISSING_SUBJECT = "missing_subject"
 
 _COUNTRY_CODE = re.compile(r"^[A-Z]{2}$")
+
+# every code _COUNTRY_CODE accepts; a string in this set is already stripped
+# and upper case, so normalize_country leaves it unchanged
+_CANONICAL_CODES = frozenset(a + b for a in string.ascii_uppercase
+                             for b in string.ascii_uppercase)
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class CorpusError(Exception):
@@ -71,6 +79,52 @@ class PublicationRecord:
     countries: frozenset[str]
 
 
+def _utf8_ok(text: str) -> bool:
+    """True if ``text`` can be written as UTF-8: it holds no surrogate, be
+    it an undecodable input byte or an escaped lone surrogate."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_fast(line: str) -> PublicationRecord | None:
+    """The record of a line that is already in canonical form, else None.
+
+    Accepts only: one JSON object filling the whole line (a final newline
+    aside) with a non-empty string ``id``, an integer ``year``, non-empty
+    stripped subject codes and canonical country codes, all writable as
+    UTF-8. Such a line parses to the same record under the checked parser.
+    Never rejects; None leaves every decision to :func:`_parse_checked`.
+    """
+    try:
+        obj, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        return None
+    if (end != len(line) and line[end:] != "\n") or type(obj) is not dict:
+        return None
+    rec_id = obj.get("id")
+    year = obj.get("year")
+    subjects = obj.get("subjects")
+    countries = obj.get("countries")
+    if (type(rec_id) is not str or not rec_id or type(year) is not int
+            or type(subjects) is not list or type(countries) is not list):
+        return None
+    try:
+        subject_set = frozenset(map(str.strip, subjects))
+        country_set = frozenset(countries)
+    except TypeError:  # a non-string subject or an unhashable country
+        return None
+    if (not subject_set or "" in subject_set or not country_set
+            or not country_set <= _CANONICAL_CODES or not _utf8_ok(line)
+            or not _utf8_ok("".join(subject_set))):
+        return None
+    return PublicationRecord(rec_id, year, subject_set, country_set)
+
+
 def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
     """Parse one JSON line into a :class:`PublicationRecord`.
 
@@ -78,15 +132,29 @@ def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
     codes are stripped and deduplicated. Key order in the input object is
     irrelevant. Raises :class:`RecordError` with ``category`` set to
     ``malformed``, ``missing_country`` or ``missing_subject``.
+
+    Lines already in canonical form take a fast path that only accepts;
+    every other line goes through the checked parser, which alone decides
+    and words every rejection.
     """
+    record = _parse_fast(line)
+    return record if record is not None else _parse_checked(line, line_no)
+
+
+def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
+    """:func:`parse_record` with every field checked and normalized."""
     if not line.strip():
         raise RecordError("blank line", line_no)
+    if not _utf8_ok(line):
+        raise RecordError("invalid UTF-8", line_no)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordError(f"invalid JSON: {exc.msg}", line_no) from exc
     except RecursionError as exc:
         raise RecordError("invalid JSON: nested too deeply", line_no) from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise RecordError("invalid JSON: integer too long", line_no) from exc
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object", line_no)
 
@@ -110,6 +178,8 @@ def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
         code = item.strip()
         if not code:
             raise RecordError("empty subject code", line_no)
+        if not _utf8_ok(code):
+            raise RecordError("invalid UTF-8 in subject code", line_no)
         subjects.add(code)
     if not subjects:
         raise RecordError("empty subjects", line_no, MISSING_SUBJECT)
@@ -178,10 +248,6 @@ class CorpusStats:
 
     def balanced(self) -> bool:
         return self.accepted + self.skipped_total == self.total_lines
-
-    def observe_year(self, year: int) -> None:
-        self.year_min = year if self.year_min is None else min(self.year_min, year)
-        self.year_max = year if self.year_max is None else max(self.year_max, year)
 
     def merge(self, other: "CorpusStats") -> "CorpusStats":
         def lo(a, b):
@@ -257,6 +323,9 @@ def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     policy = policy or ValidationPolicy()
     stats = stats if stats is not None else CorpusStats()
     lo, hi = policy.year_window
+    mapped = (frozenset(region_map.entries)
+              if region_map is not None and policy.unmapped_country != KEEP
+              else None)
     for line_no, line in enumerate(lines, start=1):
         stats.total_lines += 1
         try:
@@ -271,23 +340,26 @@ def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
             else:
                 stats.skipped_malformed += 1
             continue
-        if not lo <= record.year <= hi:
-            message = (f"line {line_no}: year {record.year} outside accepted "
+        year = record.year
+        if not lo <= year <= hi:
+            message = (f"line {line_no}: year {year} outside accepted "
                        f"window {lo}-{hi}")
             if policy.malformed == FAIL:
                 raise CorpusError(message)
             stats.skipped_malformed += 1
             continue
-        if region_map is not None and policy.unmapped_country != KEEP:
-            unmapped = sorted(c for c in record.countries if c not in region_map)
-            if unmapped:
-                if policy.unmapped_country == FAIL:
-                    raise CorpusError(
-                        f"line {line_no}: unmapped countries {unmapped}")
-                stats.skipped_unmapped_country += 1
-                continue
+        if mapped is not None and not record.countries <= mapped:
+            if policy.unmapped_country == FAIL:
+                unmapped = sorted(record.countries - mapped)
+                raise CorpusError(
+                    f"line {line_no}: unmapped countries {unmapped}")
+            stats.skipped_unmapped_country += 1
+            continue
         stats.accepted += 1
-        stats.observe_year(record.year)
+        if stats.year_min is None or year < stats.year_min:
+            stats.year_min = year
+        if stats.year_max is None or year > stats.year_max:
+            stats.year_max = year
         yield record
 
 

@@ -158,7 +158,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     stats = CorpusStats()
     fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
     n_year_filtered = 0
-    with open(cfg.input, encoding="utf-8-sig") as fh:
+    with open(cfg.input, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for record in iter_accepted(fh, region_map, cfg.policy(), stats):
             if not cfg.year_min <= record.year <= cfg.year_max:
                 n_year_filtered += 1
@@ -204,8 +204,12 @@ class OutputStager:
     def stage_text(self, name: str, text: str) -> None:
         final = self.outdir / name
         temp = self.outdir / f".{name}.part"
-        with open(temp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         self._staged.append((temp, final))
 
     def stage_csv(self, name: str, header: list[str], rows) -> None:
@@ -379,7 +383,7 @@ def run_validate(cfg: RunConfig, stream=None) -> int:
     """Validate the corpus and print the counters as one JSON line."""
     cfg.validate()
     region_map = load_region_map(cfg.regions) if cfg.regions else None
-    with open(cfg.input, encoding="utf-8-sig") as fh:
+    with open(cfg.input, encoding="utf-8-sig", errors="surrogateescape") as fh:
         stats = CorpusStats()
         for _ in iter_accepted(fh, region_map, cfg.policy(), stats):
             pass

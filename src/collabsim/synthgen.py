@@ -234,8 +234,11 @@ class Scenario:
             raise ScenarioError("global_agenda must be a probability vector")
 
         p_dom, p_birc, p_mirc = self.type_mix
-        if min(self.type_mix) < 0 or abs(sum(self.type_mix) - 1.0) > _PROB_TOL:
+        if (not all(map(math.isfinite, self.type_mix)) or min(self.type_mix) < 0
+                or abs(sum(self.type_mix) - 1.0) > _PROB_TOL):
             raise ScenarioError("type_mix must be non-negative and sum to 1")
+        if not all(map(math.isfinite, self.mirc_size.values())):
+            raise ScenarioError("mirc_size weights must be finite")
 
         for drift, name in ((self.drift_birc, "drift_birc"),
                             (self.drift_mirc, "drift_mirc")):

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from collabsim.cli import main
+from collabsim.reporting import OutputStager
 
 CORPUS = """\
 {"id":"p1","year":2010,"subjects":["PHYS"],"countries":["NL"]}
@@ -78,22 +80,25 @@ def test_countries_csv_shape(inputs, tmp_path):
 
 
 DEEP_JSON = "[" * 100_000
+HUGE_YEAR = ('{"id":"h","year":%s,"subjects":["A"],"countries":["NL"]}'
+             % ("1" * 5000))
 
 
 def test_validate_reports_skips(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(CORPUS + "garbage\n{bad json\n" + DEEP_JSON + "\n")
+    corpus.write_text(CORPUS + "garbage\n{bad json\n" + DEEP_JSON + "\n"
+                      + HUGE_YEAR + "\n")
     assert _run(["validate", "--input", corpus]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["total_lines"] == 9
+    assert stats["total_lines"] == 10
     assert stats["accepted"] == 6
-    assert stats["skipped_malformed"] == 3
+    assert stats["skipped_malformed"] == 4
     assert stats["year_range"] == [2010, 2012]
 
 
 def test_validate_fail_fast_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    for line in ("garbage", DEEP_JSON):
+    for line in ("garbage", DEEP_JSON, HUGE_YEAR):
         corpus.write_text(line + "\n")
         assert _run(["validate", "--input", corpus, "--fail-fast"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -118,6 +123,46 @@ def test_utf8_bom_inputs(inputs, tmp_path, capsys):
     for name in REPORT_FILES[:-1]:  # the manifest holds the input digests
         assert ((tmp_path / "bom" / name).read_bytes()
                 == (tmp_path / "plain" / name).read_bytes()), name
+
+
+# a raw byte that is not UTF-8, and an escaped lone surrogate that decodes
+# but cannot be written to profiles.csv
+BAD_UTF8 = (b'{"id":"b1","year":2010,"subjects":["\xff"],"countries":["NL"]}\n',
+            b'{"id":"b2","year":2010,"subjects":["\\ud800"],"countries":["NL"]}\n')
+
+
+def test_invalid_utf8_lines_are_malformed(inputs, tmp_path, capsys):
+    corpus, regions = inputs
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_bytes(corpus.read_bytes() + b"".join(BAD_UTF8))
+    assert _run(["validate", "--input", dirty]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["total_lines"], stats["skipped_malformed"]) == (8, 2)
+    for source, out in ((corpus, tmp_path / "clean"), (dirty, tmp_path / "out")):
+        assert _run(["profile", "--input", source, "--regions", regions,
+                     "--out", out]) == 0
+    assert not list(out.glob(".*.part"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["validation"]["skipped_malformed"] == 2
+    assert ((out / "profiles.csv").read_bytes()
+            == (tmp_path / "clean" / "profiles.csv").read_bytes())
+    for line in BAD_UTF8:
+        dirty.write_bytes(line)
+        for command in (["validate"], ["report", "--regions", regions,
+                                       "--out", tmp_path / "failed"]):
+            assert _run(command + ["--input", dirty, "--fail-fast"]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert "line 1: invalid UTF-8" in err["error"]
+        assert not (tmp_path / "failed").exists() or not list(
+            (tmp_path / "failed").iterdir())
+
+
+def test_failed_stage_leaves_no_file(tmp_path):
+    stager = OutputStager(tmp_path / "out")
+    with pytest.raises(UnicodeEncodeError):
+        stager.stage_text("profiles.csv", "country\n\ud800\n")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert stager.staged_names == []
 
 
 def test_missing_region_map_exits_2_without_outputs(inputs, tmp_path, capsys):
@@ -258,7 +303,10 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     for spec in ({"seed": 1, "drift_mirc": 3.0},
                  {"seed": 1, "n_countries": "abc"},
-                 {"seed": 1, "countries": [1, 2, 3]}):
+                 {"seed": 1, "countries": [1, 2, 3]},
+                 {"seed": 1, "type_mix": {"domestic": math.nan, "birc": 0.2,
+                                          "mirc": 0.2}},
+                 {"seed": 1, "mirc_size": {"3": math.nan}}):
         scenario.write_text(json.dumps(spec))
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
         assert not corpus.exists()

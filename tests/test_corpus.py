@@ -2,14 +2,17 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from collabsim.corpus import (
     CorpusError,
     CorpusStats,
     RecordError,
+    RegionMap,
     RegionMapError,
     ValidationPolicy,
+    _parse_checked,
+    _parse_fast,
     iter_accepted,
     load_region_map,
     normalize_country,
@@ -17,6 +20,8 @@ from collabsim.corpus import (
     record_to_line,
     validate_corpus,
 )
+
+HUGE_INT = "1" * 5000  # past CPython's int-string digit limit
 
 
 def test_parse_minimal_record():
@@ -63,6 +68,12 @@ def test_parse_ignores_extra_fields():
     ('{"id":"x","year":2000,"subjects":[""],"countries":["NL"]}', "malformed", None),
     ("", "malformed", None),
     pytest.param("[" * 100_000, "malformed", "nested", id="deep-nesting"),
+    pytest.param('{"id":"x","year":%s,"subjects":["A"],"countries":["NL"]}'
+                 % HUGE_INT, "malformed", "integer", id="huge-integer"),
+    pytest.param('{"id":"x","year":2000,"subjects":["\udcff"],"countries":["NL"]}',
+                 "malformed", "UTF-8", id="undecodable-byte"),
+    pytest.param('{"id":"x","year":2000,"subjects":["\\ud800"],"countries":["NL"]}',
+                 "malformed", "UTF-8", id="escaped-surrogate"),
 ])
 def test_parse_defects(line, category, named):
     with pytest.raises(RecordError) as err:
@@ -71,6 +82,102 @@ def test_parse_defects(line, category, named):
     assert "line 7" in str(err.value)
     if named:
         assert named in str(err.value)
+
+
+def test_fast_path_takes_only_canonical_lines():
+    # padded subjects are canonical once stripped; padded countries are not
+    canonical = '{"id":"p","year":2010,"subjects":["A","B"],"countries":["NL","ES"]}'
+    assert _parse_fast(canonical) == _parse_checked(canonical)
+    assert _parse_fast(canonical + "\n") == _parse_checked(canonical)
+    for line in (canonical + "\r\n", " " + canonical, canonical + " x",
+                 canonical.replace('"NL"', '"nl"'),
+                 canonical.replace('"ES"', '" ES"'),
+                 canonical.replace('"A"', '" "'),
+                 canonical.replace("2010", "true")):
+        assert _parse_fast(line) is None, line
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, 7)
+    except RecordError as exc:
+        return str(exc), exc.category
+
+
+_CANONICAL = {"id": "p1", "year": 2010, "subjects": ["A", "PHYS"],
+              "countries": ["NL", "ES"]}
+_DROP = object()
+
+_ODD_ITEMS = {
+    "subjects": st.one_of(
+        st.sampled_from(["A", " B ", "B\n", "", "  ", "\u00e9", "\ud800",
+                         "\udcff", "\u00a0C"]),
+        st.integers(), st.none(), st.booleans(), st.just(["A"]), st.just({})),
+    "countries": st.one_of(
+        st.sampled_from(["NL", "nl", " ES ", "NL\n", "N\nL", "NLD", "N", "",
+                         "\u00df", "\ufb00", "\ud800", "Nl"]),
+        st.integers(), st.none(), st.just(["NL"]), st.just({})),
+}
+
+
+def _with_odd_item(field):
+    """The canonical codes of ``field`` with one odd item put in."""
+    valid = _CANONICAL[field]
+    return st.builds(lambda odd, i: valid[:i] + [odd] + valid[i:],
+                     _ODD_ITEMS[field], st.integers(0, len(valid)))
+
+
+# one field of the canonical record replaced by a nearby defect or variant
+_PERTURBATION = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from(
+        ["", " ", "\ud800", "\udcff", "q\u00e9", 1, None, ["p"], _DROP])),
+    st.tuples(st.just("year"), st.sampled_from(
+        [True, 2010.0, "2010", "__HUGE__", 1850, -1, None, _DROP])),
+    st.tuples(st.just("subjects"), st.one_of(
+        _with_odd_item("subjects"), st.sampled_from(["A", None, {}, [], _DROP]))),
+    st.tuples(st.just("countries"), st.one_of(
+        _with_odd_item("countries"), st.sampled_from(["NL", None, {}, [], _DROP]))),
+    st.tuples(st.just("doi"), st.text(max_size=3)),
+)
+
+
+def _apply(perturbations):
+    record = dict(_CANONICAL)
+    for field, value in perturbations:
+        if value is _DROP:
+            record.pop(field, None)
+        else:
+            record[field] = value
+    return record
+
+
+def _near_valid_line():
+    """Canonical records with up to two fields perturbed (missing, mistyped,
+    padded, non-ASCII, surrogates, huge), serialized in several ways and
+    wrapped in stray whitespace or trailing text."""
+    body = st.builds(
+        lambda perturbations, ascii, compact: json.dumps(
+            _apply(perturbations), ensure_ascii=ascii,
+            separators=(",", ":") if compact else None,
+        ).replace('"__HUGE__"', HUGE_INT),
+        st.lists(_PERTURBATION, max_size=2), st.booleans(), st.booleans())
+    return st.builds(lambda pre, text, post: pre + text + post,
+                     st.sampled_from(["", "", "", " ", "\t", "\ufeff"]), body,
+                     st.sampled_from(["", "\n", "", "\n", "\r\n", " ", " \n",
+                                      "x", "\n\n", "{}", "\n "]))
+
+
+@settings(max_examples=400)
+@given(_near_valid_line())
+def test_fast_path_matches_checked_parser(line):
+    assert _outcome(parse_record, line) == _outcome(_parse_checked, line)
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.binary(max_size=40).map(
+                     lambda b: b.decode("utf-8", "surrogateescape"))))
+def test_fast_path_matches_checked_parser_on_noise(line):
+    assert _outcome(parse_record, line) == _outcome(_parse_checked, line)
 
 
 def test_parse_error_carries_line_number():
@@ -217,6 +324,19 @@ def test_accounting_identity(lines):
     stats = validate_corpus(lines)
     assert stats.balanced()
     assert stats.total_lines == len(lines)
+    # XX is a valid code the map leaves unmapped: keeping it reproduces the
+    # counters without a map, skipping drops exactly the records holding it
+    region_map = RegionMap({"NL": "Europe", "ES": "Europe"})
+    keep = ValidationPolicy().with_unmapped("keep")
+    assert validate_corpus(lines, region_map, keep) == stats
+    everything = list(iter_accepted(lines))
+    skip_stats = CorpusStats()
+    mapped = list(iter_accepted(lines, region_map, stats=skip_stats))
+    assert mapped == [r for r in everything if r.countries <= {"NL", "ES"}]
+    assert skip_stats.skipped_unmapped_country == len(everything) - len(mapped)
+    assert skip_stats.balanced()
+    years = [r.year for r in mapped]
+    assert skip_stats.year_range == ((min(years), max(years)) if years else None)
 
 
 @given(_line_strategy(), st.integers(0, 30))
@@ -225,6 +345,14 @@ def test_stats_merge_matches_single_pass(lines, cut):
     whole = validate_corpus(lines)
     merged = validate_corpus(lines[:cut]) + validate_corpus(lines[cut:])
     assert merged == whole
+
+
+@given(st.lists(st.binary(max_size=60), max_size=10))
+def test_any_bytes_are_accepted_or_counted(chunks):
+    lines = [chunk.decode("utf-8", "surrogateescape") for chunk in chunks]
+    stats = validate_corpus(lines)
+    assert stats.balanced()
+    assert stats.total_lines == len(lines)
 
 
 def test_stats_merge_year_range():
