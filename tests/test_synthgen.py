@@ -162,13 +162,13 @@ def test_scenario_rejects_oversized_mirc_sets():
     ({"pubs_per_country_year": "x"}, "pubs_per_country_year"),
     ({"pubs_per_country_year": math.inf}, "pubs_per_country_year"),
     ({"type_mix": {"domestic": "x", "birc": 0.2, "mirc": 0.2}}, "type_mix"),
-    ({"type_mix": {"domestic": math.nan, "birc": 0.2, "mirc": 0.2}}, "type_mix"),
-    ({"mirc_size": {"3": math.nan}}, "mirc_size"),
     ({"countries": [1, 2, 3]}, "countries"),
     ({"subjects": 5}, "subjects"),
     ({"base_topic": [["a"]]}, "base_topic"),
     ({"seed": -1}, "seed"),
     ({"years": {"first": 2010}}, "years"),
+    ({"type_mix": {"domestic": math.nan, "birc": 0.2, "mirc": 0.2}}, "type_mix"),
+    ({"mirc_size": {"3": math.nan}}, "mirc_size"),
 ])
 def test_scenario_rejects_wrong_types(overrides, named):
     with pytest.raises(ScenarioError, match=named):
