@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .classify import CollabKind, CollaborationType, birc_share
-from .corpus import UNKNOWN_REGION, PublicationRecord, RegionMap
+from .corpus import PublicationRecord, RegionMap, region_of
 
 if TYPE_CHECKING:  # annotations only; profiles imports this module
     from .profiles import CountryProfileSet
@@ -52,13 +52,12 @@ class BoxplotStats:
     outliers: tuple[tuple[str, float], ...] = ()
 
 
-def boxplot_stats(pairs: Iterable[tuple[str, float]],
-                  whis: float = WHISKER) -> BoxplotStats:
+def boxplot_stats(pairs: Iterable[tuple[str, float]]) -> BoxplotStats:
     """Summarize (country, value) pairs.
 
     Quartiles use linear interpolation between closest ranks (numpy's
     default percentile rule); outliers fall outside
-    [q1 - whis*IQR, q3 + whis*IQR].
+    [q1 - WHISKER*IQR, q3 + WHISKER*IQR].
     """
     pairs = list(pairs)
     if not pairs:
@@ -66,7 +65,7 @@ def boxplot_stats(pairs: Iterable[tuple[str, float]],
     values = np.asarray([v for _, v in pairs], dtype=float)
     q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
     iqr = q3 - q1
-    lo, hi = q1 - whis * iqr, q3 + whis * iqr
+    lo, hi = q1 - WHISKER * iqr, q3 + WHISKER * iqr
     outliers = tuple(sorted((c, float(v)) for c, v in pairs if v < lo or v > hi))
     return BoxplotStats(
         n=len(pairs),
@@ -101,8 +100,7 @@ def region_boxplot(values: Iterable[tuple[str, float | None]],
     seen: dict[str, bool] = {}
     n_undefined = 0
     for country, value in values:
-        region = (region_map.region_of(country, UNKNOWN_REGION)
-                  if region_map is not None else UNKNOWN_REGION)
+        region = region_of(region_map, country)
         seen.setdefault(region, False)
         if value is None:
             n_undefined += 1
@@ -176,10 +174,8 @@ class RegionYearCounts:
 
     def add(self, record: PublicationRecord, ctype: CollaborationType,
             region_map: RegionMap | None = None) -> None:
-        regions: Iterable[str] = [
-            (region_map.region_of(c, UNKNOWN_REGION)
-             if region_map is not None else UNKNOWN_REGION)
-            for c in record.countries]
+        regions: Iterable[str] = [region_of(region_map, c)
+                                  for c in record.countries]
         if self.mode == REGION_DEDUP:
             regions = set(regions)
         for region in regions:
@@ -245,24 +241,11 @@ def threshold_flags(values: Iterable[tuple[str, float | None]],
     return ThresholdFlags(threshold, tuple(sorted(flagged)), n_undefined)
 
 
-def _ratio(num: float, den: float) -> float | None:
-    return num / den if den else None
-
-
-SELECTORS: dict[str, Callable[[CountrySimilarityReport], float | None]] = {
-    "sim_dom_int": lambda r: r.sim_dom_int,
-    "sim_dom_birc": lambda r: r.sim_dom_birc,
-    "sim_dom_mirc": lambda r: r.sim_dom_mirc,
-    "sim_birc_mirc_disc": lambda r: r.sim_birc_mirc_disc,
-    "sim_birc_mirc_partner": lambda r: r.sim_birc_mirc_partner,
-    "international_share": lambda r: _ratio(r.n_birc + r.n_mirc + r.n_mega,
-                                            r.n_pub_total),
-    "n_pub_total": lambda r: r.n_pub_total,
-    "n_int": lambda r: r.n_birc + r.n_mirc + r.n_mega,
-    "n_dom": lambda r: r.n_dom,
-    "n_birc": lambda r: r.n_birc,
-    "n_mirc": lambda r: r.n_mirc,
-}
+# CountrySimilarityReport fields and properties a scatter axis may read
+SCATTER_FIELDS = ("sim_dom_int", "sim_dom_birc", "sim_dom_mirc",
+                  "sim_birc_mirc_disc", "sim_birc_mirc_partner",
+                  "international_share", "n_pub_total", "n_int", "n_dom",
+                  "n_birc", "n_mirc")
 
 
 @dataclass(frozen=True)
@@ -280,21 +263,20 @@ def scatter_dataset(reports: Iterable[CountrySimilarityReport],
                     ) -> tuple[list[ScatterPoint], int]:
     """One point per country with both axes and the size defined.
 
-    Selectors name report fields or derived ratios (see SELECTORS).
+    Selectors name report fields or properties (see SCATTER_FIELDS).
     Countries with an undefined coordinate are dropped and counted; returns
     (points sorted by country, number dropped).
     """
     for name in (x, y, size):
-        if name not in SELECTORS:
+        if name not in SCATTER_FIELDS:
             raise ValueError(f"unknown selector {name!r}; "
-                             f"valid: {', '.join(sorted(SELECTORS))}")
-    fx, fy, fsize = SELECTORS[x], SELECTORS[y], SELECTORS[size]
+                             f"valid: {', '.join(sorted(SCATTER_FIELDS))}")
     points: list[ScatterPoint] = []
     dropped = 0
     for report in reports:
         if region is not None and report.region != region:
             continue
-        px, py, psize = fx(report), fy(report), fsize(report)
+        px, py, psize = (getattr(report, name) for name in (x, y, size))
         if px is None or py is None or psize is None:
             dropped += 1
             continue

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import PublicationRecord
@@ -65,7 +65,7 @@ def classify(record: PublicationRecord,
 
 @dataclass
 class TypeCounts:
-    """Publication counts per collaboration type with a per-year breakdown.
+    """Publication counts per collaboration type.
 
     Merges as a field-wise additive monoid, so shard-local counts combine
     in any order.
@@ -75,7 +75,6 @@ class TypeCounts:
     n_bilateral: int = 0
     n_multilateral: int = 0
     n_mega: int = 0
-    by_year: dict[int, dict[str, int]] = field(default_factory=dict)
 
     @property
     def n_international(self) -> int:
@@ -85,28 +84,16 @@ class TypeCounts:
     def n_total(self) -> int:
         return self.n_domestic + self.n_international
 
-    def add(self, year: int, kind: CollabKind, n: int = 1) -> None:
+    def add(self, kind: CollabKind, n: int = 1) -> None:
         attr = _COUNT_FIELD[kind]
         setattr(self, attr, getattr(self, attr) + n)
-        per_year = self.by_year.setdefault(year, {})
-        per_year[kind.value] = per_year.get(kind.value, 0) + n
-
-    def year_total(self, kind: CollabKind) -> int:
-        """Sum of the per-year entries for one kind (totals cross-check)."""
-        return sum(per_year.get(kind.value, 0) for per_year in self.by_year.values())
 
     def merge(self, other: "TypeCounts") -> "TypeCounts":
-        by_year = {year: dict(per_year) for year, per_year in self.by_year.items()}
-        for year, per_year in other.by_year.items():
-            mine = by_year.setdefault(year, {})
-            for kind, n in per_year.items():
-                mine[kind] = mine.get(kind, 0) + n
         return TypeCounts(
             n_domestic=self.n_domestic + other.n_domestic,
             n_bilateral=self.n_bilateral + other.n_bilateral,
             n_multilateral=self.n_multilateral + other.n_multilateral,
             n_mega=self.n_mega + other.n_mega,
-            by_year=by_year,
         )
 
     __add__ = merge

@@ -79,9 +79,17 @@ class PublicationRecord:
     countries: frozenset[str]
 
 
+def open_corpus(path):
+    """Open a corpus for reading lines: a leading BOM is dropped and each
+    byte that is not UTF-8 becomes a lone surrogate, so that
+    :func:`parse_record` counts its line as malformed instead of raising."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
 def _utf8_ok(text: str) -> bool:
     """True if ``text`` can be written as UTF-8: it holds no surrogate, be
-    it an undecodable input byte or an escaped lone surrogate."""
+    it an undecodable input byte (:func:`open_corpus`) or an escaped lone
+    surrogate."""
     if text.isascii():
         return True
     try:
@@ -290,15 +298,14 @@ class ValidationPolicy:
 
     Unmapped countries additionally support ``keep``: accept the record and
     let downstream stages put it in an unknown-region bucket. Records whose
-    year falls outside ``year_window`` count as malformed (the window bounds
-    plausible calendar years, not the analysis period).
+    year falls outside ``DEFAULT_YEAR_WINDOW`` count as malformed (the
+    window bounds plausible calendar years, not the analysis period).
     """
 
     malformed: str = SKIP
     missing_country: str = SKIP
     missing_subject: str = SKIP
     unmapped_country: str = SKIP
-    year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW
 
     @classmethod
     def fail_fast(cls) -> "ValidationPolicy":
@@ -306,6 +313,9 @@ class ValidationPolicy:
                    missing_subject=FAIL, unmapped_country=FAIL)
 
     def with_unmapped(self, action: str) -> "ValidationPolicy":
+        if action not in (SKIP, KEEP, FAIL):
+            raise ValueError(f"unknown unmapped-country action {action!r}; "
+                             f"valid: {SKIP}, {KEEP}, {FAIL}")
         return replace(self, unmapped_country=action)
 
 
@@ -322,7 +332,7 @@ def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     """
     policy = policy or ValidationPolicy()
     stats = stats if stats is not None else CorpusStats()
-    lo, hi = policy.year_window
+    lo, hi = DEFAULT_YEAR_WINDOW
     mapped = (frozenset(region_map.entries)
               if region_map is not None and policy.unmapped_country != KEEP
               else None)
@@ -393,6 +403,14 @@ class RegionMap:
         return len(self.entries)
 
 
+def region_of(region_map: RegionMap | None, country: str) -> str:
+    """The region of ``country``, or ``UNKNOWN_REGION`` when there is no
+    map or the map does not place it."""
+    if region_map is None:
+        return UNKNOWN_REGION
+    return region_map.region_of(country, UNKNOWN_REGION)
+
+
 def load_region_map(path) -> RegionMap:
     """Load a ``country,region`` CSV into a :class:`RegionMap`.
 
@@ -427,7 +445,7 @@ def load_region_map(path) -> RegionMap:
                     raise RegionMapError(
                         f"{path}:{row_no}: conflicting region for {code}")
                 entries[code] = region
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RegionMapError(f"cannot read region map {path}: {exc}") from exc
     if not entries:
         log.warning("region map %s has no entries", path)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
 from .classify import CollabKind, CollaborationType, TypeCounts
-from .corpus import UNKNOWN_REGION, PublicationRecord, RegionMap
+from .corpus import PublicationRecord, RegionMap, region_of
 
 SUBJECT_SPACE = "subject"
 PARTNER_SPACE = "partner"
@@ -35,8 +35,7 @@ DISC_FAMILIES = (DOMESTIC, INTERNATIONAL, BIRC, MIRC, MEGA)
 PARTNER_FAMILIES = (INTERNATIONAL, BIRC, MIRC, MEGA)
 
 # kind index of ProfileFold's count arrays: 0 domestic, 1 birc, 2 mirc, 3 mega
-_KINDS = (CollabKind.DOMESTIC, CollabKind.BILATERAL, CollabKind.MULTILATERAL,
-          CollabKind.MEGA)
+_KINDS = tuple(CollabKind)
 _KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
 _FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
 
@@ -159,7 +158,7 @@ def accumulate(table: dict[str, CountryProfileSet], record: PublicationRecord,
                 if partner != country:
                     part.increment(partner)
                     part_int.increment(partner)
-        ps.pub_counts.add(record.year, ctype.kind)
+        ps.pub_counts.add(ctype.kind)
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,10 @@ class ProfileFold:
     ``add`` only interns the record's codes and appends their ids to flat
     buffers; every ``FLUSH_PAIRS`` of pending pair work the buffers are
     counted with numpy into ``disc[kind, country, subject]``,
-    ``partner[kind, country, partner]``, ``pubs[country, kind, year]`` and
-    ``regions[region, kind, year]``. ``table`` and ``region_counts`` then
-    give the same results as :func:`accumulate` and
+    ``partner[kind, country, partner]``, ``pubs[country, kind]`` and
+    ``regions[region, kind, year]``; only the region counts keep a year
+    axis, because only regional growth reads one. ``table`` and
+    ``region_counts`` then give the same results as :func:`accumulate` and
     :meth:`RegionYearCounts.add` over the same records. The pooled
     international family is derived as birc + mirc + mega.
     """
@@ -246,7 +246,7 @@ class ProfileFold:
         self._region_of: list[int] = []  # country id -> region id
         self._disc = np.zeros((4, 0, 0), dtype=np.int64)
         self._partner = np.zeros((4, 0, 0), dtype=np.int64)
-        self._pubs = np.zeros((0, 4, 0), dtype=np.int64)
+        self._pubs = np.zeros((0, 4), dtype=np.int64)
         self._region_years = np.zeros((0, 4, 0), dtype=np.int64)
         self._reset_buffers()
 
@@ -276,13 +276,12 @@ class ProfileFold:
             return
         n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
         for country in list(self._countries)[len(self._region_of):]:
-            region = (self.region_map.region_of(country, UNKNOWN_REGION)
-                      if self.region_map is not None else UNKNOWN_REGION)
-            self._region_of.append(self._regions[region])
+            self._region_of.append(
+                self._regions[region_of(self.region_map, country)])
         n_r = len(self._regions)
         self._disc = _grown(self._disc, (4, n_c, n_s))
         self._partner = _grown(self._partner, (4, n_c, n_c))
-        self._pubs = _grown(self._pubs, (n_c, 4, n_y))
+        self._pubs = _grown(self._pubs, (n_c, 4))
         self._region_years = _grown(self._region_years, (n_r, 4, n_y))
 
         c = np.frombuffer(self._c, dtype=np.intc).astype(np.intp)
@@ -304,7 +303,7 @@ class ProfileFold:
         # diagonal and the domestic kind are dropped when the table is read
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
                      + c[_ranges((np.cumsum(k) - k)[rec], k[rec])])
-        _scatter_add(self._pubs, (c * 4 + kind[rec]) * n_y + year[rec])
+        _scatter_add(self._pubs, c * 4 + kind[rec])
 
         region = np.asarray(self._region_of, dtype=np.intp)[c]
         if self.region_counting == REGION_DEDUP:
@@ -316,7 +315,6 @@ class ProfileFold:
         """The per-country profile sets of every record folded so far."""
         self._flush()
         subjects, countries = list(self._subjects), list(self._countries)
-        years = list(self._years)
         partner = self._partner.copy()
         diagonal = np.arange(len(countries))
         partner[:, diagonal, diagonal] = 0
@@ -324,11 +322,6 @@ class ProfileFold:
         for i, country in enumerate(countries):
             disc = self._disc[:, i]
             part = partner[:, i]
-            pubs = self._pubs[i]
-            by_year: dict[int, dict[str, int]] = {}
-            for j, t in np.argwhere(pubs).tolist():
-                by_year.setdefault(years[t], {})[_KINDS[j].value] = int(pubs[j, t])
-            n_dom, n_birc, n_mirc, n_mega = pubs.sum(axis=1).tolist()
             table[country] = CountryProfileSet(
                 country=country,
                 disciplinary={
@@ -341,7 +334,7 @@ class ProfileFold:
                                             countries),
                     **{family: _profile(PARTNER_SPACE, part[j], countries)
                        for j, family in enumerate(_KIND_FAMILIES) if j}},
-                pub_counts=TypeCounts(n_dom, n_birc, n_mirc, n_mega, by_year),
+                pub_counts=TypeCounts(*self._pubs[i].tolist()),
             )
         return table
 
@@ -394,10 +387,8 @@ def dump_rows(table: dict[str, CountryProfileSet],
     in lexicographic sort order for deterministic export."""
     for country in sorted(table):
         ps = table[country]
-        rows = []
         for family_name, profiles in (("disciplinary", ps.disciplinary),
                                       ("partner", ps.partner)):
             for collab in sorted(profiles):
                 for dimension, count in profiles[collab].sorted_items():
-                    rows.append((country, family_name, collab, dimension, count))
-        yield from sorted(rows)
+                    yield country, family_name, collab, dimension, count

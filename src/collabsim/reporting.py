@@ -38,6 +38,8 @@ from .corpus import (
     ValidationPolicy,
     iter_accepted,
     load_region_map,
+    open_corpus,
+    validate_corpus,
 )
 from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
@@ -158,7 +160,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     stats = CorpusStats()
     fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
     n_year_filtered = 0
-    with open(cfg.input, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open_corpus(cfg.input) as fh:
         for record in iter_accepted(fh, region_map, cfg.policy(), stats):
             if not cfg.year_min <= record.year <= cfg.year_max:
                 n_year_filtered += 1
@@ -383,10 +385,8 @@ def run_validate(cfg: RunConfig, stream=None) -> int:
     """Validate the corpus and print the counters as one JSON line."""
     cfg.validate()
     region_map = load_region_map(cfg.regions) if cfg.regions else None
-    with open(cfg.input, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        stats = CorpusStats()
-        for _ in iter_accepted(fh, region_map, cfg.policy(), stats):
-            pass
+    with open_corpus(cfg.input) as fh:
+        stats = validate_corpus(fh, region_map, cfg.policy())
     out = stream if stream is not None else sys.stdout
     json.dump(stats.as_dict(), out)
     out.write("\n")

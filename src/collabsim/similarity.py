@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import UNKNOWN_REGION, RegionMap
+from .corpus import UNKNOWN_REGION, RegionMap, region_of  # noqa: F401 (re-export)
 from .profiles import BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet, Profile
 
 INDICATORS = (
@@ -74,6 +74,15 @@ class CountrySimilarityReport:
     sim_birc_mirc_disc: float | None
     sim_birc_mirc_partner: float | None
 
+    @property
+    def n_int(self) -> int:
+        return self.n_birc + self.n_mirc + self.n_mega
+
+    @property
+    def international_share(self) -> float | None:
+        """International share of all output; None when there is none."""
+        return self.n_int / self.n_pub_total if self.n_pub_total else None
+
     def indicator(self, name: str) -> float | None:
         if name not in INDICATORS:
             raise KeyError(name)
@@ -91,12 +100,10 @@ def five_indicators(ps: CountryProfileSet,
     from the region map are kept under region "UNKNOWN".
     """
     disc = ps.disciplinary
-    region = (region_map.region_of(ps.country, UNKNOWN_REGION)
-              if region_map is not None else UNKNOWN_REGION)
     counts = ps.pub_counts
     return CountrySimilarityReport(
         country=ps.country,
-        region=region,
+        region=region_of(region_map, ps.country),
         n_pub_total=counts.n_total,
         n_dom=counts.n_domestic,
         n_birc=counts.n_bilateral,

@@ -211,6 +211,8 @@ class Scenario:
                 spec = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{path}: invalid JSON: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"{path}: invalid UTF-8: {exc}") from exc
         return cls.from_dict(spec)
 
     def validate(self) -> None:

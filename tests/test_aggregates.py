@@ -239,13 +239,17 @@ def test_scatter_international_share_vs_similarity():
         _report("AA", sim_dom_int=0.9),
         _report("AB", region="Other", sim_dom_int=0.8),
         _report("AC", n_dom=10, n_birc=0, n_mirc=0),  # no similarity defined
+        _report("AD", region="Other", n_dom=2, n_birc=1, n_mirc=0, n_mega=1,
+                sim_dom_int=0.5),
+        _report("AE", n_dom=0, n_birc=0, n_mirc=0, sim_dom_int=0.4),  # no output
     ]
     points, dropped = scatter_dataset(reports, x="international_share",
                                       y="sim_dom_int", size="n_pub_total")
-    assert dropped == 1
-    assert [p.country for p in points] == ["AA", "AB"]
+    assert dropped == 2
+    assert [p.country for p in points] == ["AA", "AB", "AD"]
     assert points[0].x == pytest.approx(0.5)
     assert points[0].size == 10
+    assert points[2].x == pytest.approx(0.5)  # (birc + mirc + mega) / total
 
     only_r, _ = scatter_dataset(reports, x="international_share",
                                 y="sim_dom_int", region="R")
@@ -256,12 +260,14 @@ def test_scatter_birc_mirc_configuration():
     reports = [
         _report("AA", sim_birc_mirc_disc=0.7, sim_birc_mirc_partner=0.6),
         _report("AB", n_mirc=0, sim_birc_mirc_disc=None),  # dropped
+        _report("AC", n_mega=4, sim_birc_mirc_disc=0.5, sim_birc_mirc_partner=0.4),
     ]
     points, dropped = scatter_dataset(reports, x="sim_birc_mirc_disc",
                                       y="sim_birc_mirc_partner", size="n_int")
     assert dropped == 1
     assert points[0].size == 5  # n_birc + n_mirc
     assert (points[0].x, points[0].y) == (0.7, 0.6)
+    assert points[1].size == 9  # n_birc + n_mirc + n_mega
 
 
 def test_scatter_unknown_selector_lists_names():
@@ -276,7 +282,7 @@ def test_scatter_unknown_selector_lists_names():
 def _table_entry(country, n_dom, n_birc, n_mirc):
     ps = CountryProfileSet.empty(country)
     for _ in range(n_dom):
-        ps.pub_counts.add(2010, classify(_rec("x", {country}, 2010)).kind)
+        ps.pub_counts.add(classify(_rec("x", {country}, 2010)).kind)
     counts = ps.pub_counts
     counts.n_bilateral += n_birc
     counts.n_multilateral += n_mirc

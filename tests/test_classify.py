@@ -73,31 +73,25 @@ def test_exactly_one_class():
 
 def test_type_counts_add_and_merge():
     a = TypeCounts()
-    a.add(2010, CollabKind.DOMESTIC)
-    a.add(2010, CollabKind.BILATERAL)
-    a.add(2011, CollabKind.BILATERAL)
+    a.add(CollabKind.DOMESTIC)
+    a.add(CollabKind.BILATERAL)
+    a.add(CollabKind.BILATERAL)
     b = TypeCounts()
-    b.add(2011, CollabKind.MULTILATERAL)
-    b.add(2011, CollabKind.BILATERAL)
+    b.add(CollabKind.MULTILATERAL)
+    b.add(CollabKind.BILATERAL)
     merged = a + b
     assert merged.n_domestic == 1
     assert merged.n_bilateral == 3
     assert merged.n_multilateral == 1
     assert merged.n_international == 4
     assert merged.n_total == 5
-    assert merged.by_year[2011] == {"bilateral": 2, "multilateral": 1}
-    for kind in CollabKind:
-        assert merged.year_total(kind) == getattr(
-            merged, {"domestic": "n_domestic", "bilateral": "n_bilateral",
-                     "multilateral": "n_multilateral",
-                     "mega_multilateral": "n_mega"}[kind.value])
 
 
 def test_merge_identity_and_commutativity():
-    a = TypeCounts(n_domestic=2, n_bilateral=1, by_year={2010: {"domestic": 2, "bilateral": 1}})
+    a = TypeCounts(n_domestic=2, n_bilateral=1)
     empty = TypeCounts()
     assert a + empty == a
-    b = TypeCounts(n_multilateral=4, by_year={2011: {"multilateral": 4}})
+    b = TypeCounts(n_multilateral=4)
     assert a + b == b + a
 
 

@@ -306,8 +306,10 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
                  {"seed": 1, "countries": [1, 2, 3]},
                  {"seed": 1, "type_mix": {"domestic": math.nan, "birc": 0.2,
                                           "mirc": 0.2}},
-                 {"seed": 1, "mirc_size": {"3": math.nan}}):
-        scenario.write_text(json.dumps(spec))
+                 {"seed": 1, "mirc_size": {"3": math.nan}},
+                 b'{"seed":1,"countries":["\xff"]}'):
+        scenario.write_bytes(spec if isinstance(spec, bytes)
+                             else json.dumps(spec).encode())
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
         assert not corpus.exists()
         assert json.loads(capsys.readouterr().err)["exit_code"] == 2

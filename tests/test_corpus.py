@@ -245,6 +245,10 @@ def test_load_region_map_bad_header(tmp_path):
 def test_load_region_map_unreadable(tmp_path):
     with pytest.raises(RegionMapError):
         load_region_map(tmp_path / "nope.csv")
+    undecodable = tmp_path / "regions.csv"
+    undecodable.write_bytes(b"country,region\nNL,Eur\xffope\n")
+    with pytest.raises(RegionMapError):
+        load_region_map(undecodable)
 
 
 # --- corpus validation --------------------------------------------------
@@ -284,6 +288,12 @@ def test_validate_keep_unmapped(tmp_path):
     assert len(records) == 1
     assert stats.accepted == 1
     assert stats.skipped_unmapped_country == 0
+
+
+def test_with_unmapped_rejects_unknown_action():
+    for action in ("kep", "FAIL", ""):
+        with pytest.raises(ValueError, match="unmapped"):
+            ValidationPolicy().with_unmapped(action)
 
 
 def test_validate_fail_fast(tmp_path):

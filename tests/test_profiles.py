@@ -335,3 +335,12 @@ def test_dump_rows_sorted_and_complete():
     assert rows == sorted(rows)
     assert ("ES", "disciplinary", "birc", "A", 1) in rows
     assert ("NL", "partner", "international", "ES", 1) in rows
+
+    table = build_profiles(random_records(random.Random(11), 300),
+                           BuildConfig(mega_threshold=3))
+    rows = list(dump_rows(table))
+    assert rows == sorted(rows)
+    assert any(family == "mega" for _, _, family, _, _ in rows)
+    assert len(rows) == sum(len(p.counts) for ps in table.values()
+                            for p in (*ps.disciplinary.values(),
+                                      *ps.partner.values()))
