@@ -39,6 +39,7 @@ from .corpus import (
     ValidationPolicy,
     iter_accepted,
     load_region_map,
+    open_corpus,
     parse_record,
     record_to_line,
     validate_corpus,
@@ -109,6 +110,7 @@ __all__ = [
     "iter_accepted",
     "load_region_map",
     "merge_tables",
+    "open_corpus",
     "parse_record",
     "record_to_line",
     "region_boxplot",

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusError, RegionMapError
+from .aggregates import GROWTH_METHODS, REGION_COUNTING_MODES, SHARE_DENOMINATORS
+from .corpus import UNMAPPED_ACTIONS, CorpusError, RegionMapError
 from .reporting import RunConfig, UsageError, run_outputs, run_synth, run_validate
 from .synthgen import ScenarioError
 
@@ -39,55 +41,42 @@ def _years(text: str) -> tuple[int, int]:
 
 def _add_analysis_args(sub: argparse.ArgumentParser,
                        regions_required: bool = True) -> None:
+    # ``sub`` suppresses absent options, so RunConfig supplies their defaults
     sub.add_argument("--input", required=True, type=Path,
                      help="corpus file, one JSON record per line")
     sub.add_argument("--regions", required=regions_required, type=Path,
                      default=None, help="country,region CSV")
     sub.add_argument("--out", type=Path, default=Path("out"),
                      help="output directory")
-    sub.add_argument("--years", default="2008:2017", metavar="A:B",
-                     help="analysis year window (default 2008:2017)")
-    sub.add_argument("--mega-threshold", type=int, default=None, metavar="N",
+    sub.add_argument("--years", type=_years, metavar="A:B",
+                     help="analysis year window (default "
+                          f"{RunConfig.year_min}:{RunConfig.year_max})")
+    sub.add_argument("--mega-threshold", type=int, metavar="N",
                      help="enable the mega class at >= N countries")
-    sub.add_argument("--min-pubs", type=int, default=1, metavar="N",
+    sub.add_argument("--min-pubs", type=int, metavar="N",
                      help="eligibility floor for world baselines")
-    sub.add_argument("--threshold", type=float, default=0.5, metavar="T",
+    sub.add_argument("--threshold", type=float, metavar="T",
                      help="highlight countries with similarity below T")
-    sub.add_argument("--growth-method", choices=["cagr", "loglinear"],
-                     default="cagr")
-    sub.add_argument("--fig2-denominator", choices=["international", "total"],
-                     default="international",
+    sub.add_argument("--growth-method", choices=GROWTH_METHODS)
+    sub.add_argument("--fig2-denominator", choices=SHARE_DENOMINATORS,
                      help="denominator of the bilateral share")
-    sub.add_argument("--region-counting", choices=["dedup", "country"],
-                     default="dedup",
+    sub.add_argument("--region-counting", choices=REGION_COUNTING_MODES,
                      help="regional counts: once per region or per country")
-    sub.add_argument("--scatter-region", default=None, metavar="REGION",
+    sub.add_argument("--scatter-region", metavar="REGION",
                      help="restrict scatter datasets to one region")
     sub.add_argument("--fail-fast", action="store_true",
                      help="stop on the first corpus defect")
-    sub.add_argument("--unmapped-policy", choices=["skip", "keep", "fail"],
-                     default="skip",
+    sub.add_argument("--unmapped-policy", choices=UNMAPPED_ACTIONS,
                      help="how to treat countries missing from the region map")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    year_min, year_max = _years(args.years)
-    return RunConfig(
-        input=args.input,
-        regions=args.regions,
-        out=args.out,
-        year_min=year_min,
-        year_max=year_max,
-        mega_threshold=args.mega_threshold,
-        min_pubs=args.min_pubs,
-        threshold=args.threshold,
-        growth_method=args.growth_method,
-        fig2_denominator=args.fig2_denominator,
-        region_counting=args.region_counting,
-        scatter_region=args.scatter_region,
-        fail_fast=args.fail_fast,
-        unmapped_policy=args.unmapped_policy,
-    )
+    given = vars(args)
+    options = {f.name: given[f.name] for f in fields(RunConfig)
+               if f.name in given}
+    if "years" in given:
+        options["year_min"], options["year_max"] = given["years"]
+    return RunConfig(**options)
 
 
 def build_parser() -> _Parser:
@@ -108,7 +97,8 @@ def build_parser() -> _Parser:
         "report": "write all outputs in one run",
     }
     for name, desc in descriptions.items():
-        cmd = sub.add_parser(name, help=desc)
+        cmd = sub.add_parser(name, help=desc,
+                             argument_default=argparse.SUPPRESS)
         _add_analysis_args(cmd, regions_required=(name != "validate"))
         if name == "validate":
             cmd.set_defaults(func=lambda args: run_validate(_config(args)))

@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -29,15 +28,15 @@ UNKNOWN_REGION = "UNKNOWN"
 SKIP = "skip"
 FAIL = "fail"
 KEEP = "keep"
+_DEFECT_ACTIONS = (SKIP, FAIL)
+UNMAPPED_ACTIONS = (SKIP, KEEP, FAIL)
 
 # defect categories carried by RecordError
 MALFORMED = "malformed"
 MISSING_COUNTRY = "missing_country"
 MISSING_SUBJECT = "missing_subject"
 
-_COUNTRY_CODE = re.compile(r"^[A-Z]{2}$")
-
-# every code _COUNTRY_CODE accepts; a string in this set is already stripped
+# the valid country codes, AA..ZZ; a string in this set is already stripped
 # and upper case, so normalize_country leaves it unchanged
 _CANONICAL_CODES = frozenset(a + b for a in string.ascii_uppercase
                              for b in string.ascii_uppercase)
@@ -202,7 +201,7 @@ def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
         if not isinstance(item, str):
             raise RecordError("country codes must be strings", line_no)
         code = normalize_country(item)
-        if not _COUNTRY_CODE.match(code):
+        if code not in _CANONICAL_CODES:
             raise RecordError(f"invalid country code {item!r}", line_no)
         countries.add(code)
     if not countries:
@@ -297,9 +296,10 @@ class ValidationPolicy:
     """Per-defect-class handling: ``skip`` (count and drop) or ``fail``.
 
     Unmapped countries additionally support ``keep``: accept the record and
-    let downstream stages put it in an unknown-region bucket. Records whose
-    year falls outside ``DEFAULT_YEAR_WINDOW`` count as malformed (the
-    window bounds plausible calendar years, not the analysis period).
+    let downstream stages put it in an unknown-region bucket. Any other
+    action raises :class:`ValueError`. Records whose year falls outside
+    ``DEFAULT_YEAR_WINDOW`` count as malformed (the window bounds plausible
+    calendar years, not the analysis period).
     """
 
     malformed: str = SKIP
@@ -312,10 +312,16 @@ class ValidationPolicy:
         return cls(malformed=FAIL, missing_country=FAIL,
                    missing_subject=FAIL, unmapped_country=FAIL)
 
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            valid = (UNMAPPED_ACTIONS if field.name == "unmapped_country"
+                     else _DEFECT_ACTIONS)
+            action = getattr(self, field.name)
+            if action not in valid:
+                raise ValueError(f"unknown {field.name} action {action!r}; "
+                                 f"valid: {', '.join(valid)}")
+
     def with_unmapped(self, action: str) -> "ValidationPolicy":
-        if action not in (SKIP, KEEP, FAIL):
-            raise ValueError(f"unknown unmapped-country action {action!r}; "
-                             f"valid: {SKIP}, {KEEP}, {FAIL}")
         return replace(self, unmapped_country=action)
 
 
@@ -436,7 +442,7 @@ def load_region_map(path) -> RegionMap:
                     raise RegionMapError(f"{path}:{row_no}: expected 2 columns")
                 code = normalize_country(row[0])
                 region = row[1].strip()
-                if not _COUNTRY_CODE.match(code):
+                if code not in _CANONICAL_CODES:
                     raise RegionMapError(
                         f"{path}:{row_no}: invalid country code {row[0]!r}")
                 if not region:

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -33,6 +33,8 @@ from .aggregates import (
     threshold_flags,
 )
 from .corpus import (
+    SKIP,
+    UNMAPPED_ACTIONS,
     CorpusStats,
     RegionMap,
     ValidationPolicy,
@@ -96,7 +98,7 @@ class RunConfig:
     region_counting: str = REGION_DEDUP
     scatter_region: str | None = None
     fail_fast: bool = False
-    unmapped_policy: str = "skip"
+    unmapped_policy: str = SKIP
 
     def validate(self) -> None:
         if self.year_min > self.year_max:
@@ -116,7 +118,7 @@ class RunConfig:
         if self.region_counting not in REGION_COUNTING_MODES:
             raise UsageError(
                 f"unknown region counting mode {self.region_counting!r}")
-        if self.unmapped_policy not in ("skip", "keep", "fail"):
+        if self.unmapped_policy not in UNMAPPED_ACTIONS:
             raise UsageError(f"unknown unmapped policy {self.unmapped_policy!r}")
 
     def policy(self) -> ValidationPolicy:
@@ -125,21 +127,13 @@ class RunConfig:
         return policy.with_unmapped(self.unmapped_policy)
 
     def public_dict(self) -> dict:
-        return {
-            "input": str(self.input),
-            "regions": str(self.regions),
-            "out": str(self.out),
-            "years": [self.year_min, self.year_max],
-            "mega_threshold": self.mega_threshold,
-            "min_pubs": self.min_pubs,
-            "threshold": self.threshold,
-            "growth_method": self.growth_method,
-            "fig2_denominator": self.fig2_denominator,
-            "region_counting": self.region_counting,
-            "scatter_region": self.scatter_region,
-            "fail_fast": self.fail_fast,
-            "unmapped_policy": self.unmapped_policy,
-        }
+        """Every field, with the year window as one ``years`` pair and the
+        paths as strings (the ``config`` of ``manifest.json``)."""
+        public = {f.name: getattr(self, f.name) for f in fields(self)}
+        public["years"] = [public.pop("year_min"), public.pop("year_max")]
+        for name in ("input", "regions", "out"):
+            public[name] = str(public[name])
+        return public
 
 
 @dataclass

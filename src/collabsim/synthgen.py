@@ -26,7 +26,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import PublicationRecord, RegionMap, normalize_country, record_to_line
+from .corpus import (
+    _CANONICAL_CODES,
+    PublicationRecord,
+    RegionMap,
+    _utf8_ok,
+    normalize_country,
+    record_to_line,
+)
 
 WORLD_BANK_REGIONS = (
     "East Asia & Pacific",
@@ -39,6 +46,10 @@ WORLD_BANK_REGIONS = (
 )
 
 _PROB_TOL = 1e-9
+
+# each country-year draws arrays of about this many records, so a larger
+# mean asks for more memory than a desk-scale corpus needs
+_MAX_PUBS_PER_COUNTRY_YEAR = 1_000_000
 
 _KNOWN_KEYS = {
     "seed", "countries", "n_countries", "subjects", "n_subjects",
@@ -77,6 +88,25 @@ def _strings(spec: dict, key: str) -> list:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ScenarioError(f"{key} must be a list of strings")
     return values
+
+
+def _check_codes(countries: tuple[str, ...], subjects: tuple[str, ...]) -> None:
+    """Reject country and subject codes that ingest would not read back
+    unchanged (see :func:`collabsim.corpus.parse_record`)."""
+    if not countries:
+        raise ScenarioError("at least one country required")
+    if len(set(countries)) != len(countries):
+        raise ScenarioError("duplicate country codes")
+    for code in countries:
+        if code not in _CANONICAL_CODES:
+            raise ScenarioError(
+                f"countries must be two-letter codes AA..ZZ, got {code!r}")
+    if not subjects or len(set(subjects)) != len(subjects):
+        raise ScenarioError("subjects must be non-empty and unique")
+    for code in subjects:
+        if not code or code != code.strip() or not _utf8_ok(code):
+            raise ScenarioError("subjects must be non-empty, stripped and "
+                                f"valid UTF-8, got {code!r}")
 
 
 def _default_countries(n: int) -> list[str]:
@@ -138,6 +168,7 @@ class Scenario:
         else:
             subjects = tuple(f"S{i:03d}"
                              for i in range(_number(spec, "n_subjects", 40, int)))
+        _check_codes(countries, subjects)
         n_c, n_s = len(countries), len(subjects)
 
         if "base_topic" in spec:
@@ -216,13 +247,8 @@ class Scenario:
         return cls.from_dict(spec)
 
     def validate(self) -> None:
+        _check_codes(self.countries, self.subjects)
         n_c, n_s = len(self.countries), len(self.subjects)
-        if n_c < 1:
-            raise ScenarioError("at least one country required")
-        if len(set(self.countries)) != n_c:
-            raise ScenarioError("duplicate country codes")
-        if n_s < 1 or len(set(self.subjects)) != n_s:
-            raise ScenarioError("subjects must be non-empty and unique")
 
         base = np.asarray(self.base_topic, dtype=float)
         if base.shape != (n_c, n_s):
@@ -283,8 +309,9 @@ class Scenario:
         first, last = self.years
         if first > last:
             raise ScenarioError("years must satisfy first <= last")
-        if self.pubs_per_country_year < 0:
-            raise ScenarioError("pubs_per_country_year must be >= 0")
+        if not 0 <= self.pubs_per_country_year <= _MAX_PUBS_PER_COUNTRY_YEAR:
+            raise ScenarioError("pubs_per_country_year must lie in "
+                                f"[0, {_MAX_PUBS_PER_COUNTRY_YEAR}]")
 
 
 def _draw(cdf: np.ndarray, u: float) -> int:

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from collabsim.cli import main
-from collabsim.reporting import OutputStager
+from collabsim.cli import _config, build_parser, main
+from collabsim.reporting import OutputStager, RunConfig
 
 CORPUS = """\
 {"id":"p1","year":2010,"subjects":["PHYS"],"countries":["NL"]}
@@ -194,11 +196,36 @@ def test_missing_input_exits_2(tmp_path, capsys):
     ["report", "--input", "x", "--regions", "y", "--growth-method", "linear"],
     ["nonsense"],
     ["report"],
+    ["report", "--input", "x", "--regions", "y", "--fig2-denominator", "x"],
+    ["report", "--input", "x", "--regions", "y", "--region-counting", "x"],
+    ["report", "--input", "x", "--regions", "y", "--unmapped-policy", "x"],
+    ["report", "--input", "x", "--regions", "y", "--years", "2010:x"],
 ])
 def test_usage_errors_exit_1(args, capsys):
     assert _run(args) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 1
+
+
+def test_config_defaults_come_from_runconfig():
+    args = build_parser().parse_args(["report", "--input", "x", "--regions", "y"])
+    assert _config(args) == RunConfig(input=Path("x"), regions=Path("y"),
+                                      out=Path("out"))
+
+
+def test_every_runconfig_field_has_a_flag():
+    args = build_parser().parse_args([
+        "report", "--input", "x", "--regions", "y", "--out", "o",
+        "--years", "2001:2002", "--mega-threshold", "4", "--min-pubs", "3",
+        "--threshold", "0.25", "--growth-method", "loglinear",
+        "--fig2-denominator", "total", "--region-counting", "country",
+        "--scatter-region", "R", "--fail-fast", "--unmapped-policy", "keep"])
+    cfg = _config(args)
+    default = RunConfig(input=Path("in"), regions=None, out=Path("out"))
+    unset = [f.name for f in fields(RunConfig)
+             if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert unset == []
+    cfg.validate()
 
 
 def test_two_runs_byte_identical(inputs, tmp_path):
@@ -307,7 +334,12 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
                  {"seed": 1, "type_mix": {"domestic": math.nan, "birc": 0.2,
                                           "mirc": 0.2}},
                  {"seed": 1, "mirc_size": {"3": math.nan}},
-                 b'{"seed":1,"countries":["\xff"]}'):
+                 b'{"seed":1,"countries":["\xff"]}',
+                 {"seed": 1, "n_subjects": 0},
+                 {"seed": 1, "pubs_per_country_year": 1e300},
+                 {"seed": 1, "countries": ["ABC", "DE"],
+                  "type_mix": {"domestic": 1, "birc": 0, "mirc": 0}},
+                 {"seed": 1, "subjects": ["S1", "S1 ", ""]}):
         scenario.write_bytes(spec if isinstance(spec, bytes)
                              else json.dumps(spec).encode())
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2

@@ -296,6 +296,13 @@ def test_with_unmapped_rejects_unknown_action():
             ValidationPolicy().with_unmapped(action)
 
 
+def test_validation_policy_rejects_unknown_actions():
+    for field, action in (("malformed", "FAIL"), ("missing_subject", "keep"),
+                          ("missing_country", ""), ("unmapped_country", "kep")):
+        with pytest.raises(ValueError, match=field):
+            ValidationPolicy(**{field: action})
+
+
 def test_validate_fail_fast(tmp_path):
     lines = [GOOD % 1, "garbage"]
     with pytest.raises(CorpusError, match="line 2"):

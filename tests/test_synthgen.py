@@ -1,11 +1,15 @@
 import io
+import itertools
 import math
 import statistics
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collabsim.classify import CollabKind, classify
+from collabsim.corpus import parse_record, record_to_line
 from collabsim.profiles import build_profiles
 from collabsim.similarity import five_indicators
 from collabsim.synthgen import (
@@ -169,6 +173,12 @@ def test_scenario_rejects_oversized_mirc_sets():
     ({"years": {"first": 2010}}, "years"),
     ({"type_mix": {"domestic": math.nan, "birc": 0.2, "mirc": 0.2}}, "type_mix"),
     ({"mirc_size": {"3": math.nan}}, "mirc_size"),
+    ({"n_subjects": 0}, "subjects"),
+    ({"subjects": []}, "subjects"),
+    ({"pubs_per_country_year": 1e300}, "pubs_per_country_year"),
+    ({"countries": ["ABC", "DE"],
+      "type_mix": {"domestic": 1.0, "birc": 0.0, "mirc": 0.0}}, "countries"),
+    ({"subjects": ["S1", "S1 ", ""]}, "subjects"),
 ])
 def test_scenario_rejects_wrong_types(overrides, named):
     with pytest.raises(ScenarioError, match=named):
@@ -207,3 +217,50 @@ def test_region_map_for_round_robin():
     assert rmap.entries["AC"] == WORLD_BANK_REGIONS[2]
     big = region_map_for([f"A{c}" for c in "ABCDEFGHIJ"])
     assert set(big.regions) <= set(WORLD_BANK_REGIONS)
+
+
+_WEIGHT = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, math.nan]))
+_CODE = st.one_of(st.text(string.ascii_uppercase, min_size=2, max_size=2),
+                  st.text(max_size=3),
+                  st.sampled_from(["es", " DE ", "ABC", "", "\ud800"]))
+
+
+def _years_pair(first):
+    return st.tuples(st.just(first), st.integers(first - 1, first + 2))
+
+
+_SCENARIO_DICTS = st.fixed_dictionaries(
+    {"seed": st.integers(0, 2**40)},
+    optional={
+        "countries": st.lists(_CODE, max_size=30, unique=True),
+        "n_countries": st.integers(-2, 30),
+        "subjects": st.lists(_CODE, max_size=30, unique=True),
+        "n_subjects": st.integers(-2, 30),
+        "type_mix": st.fixed_dictionaries(
+            {"domestic": _WEIGHT, "birc": _WEIGHT, "mirc": _WEIGHT}),
+        "mirc_size": st.dictionaries(st.sampled_from(["2", "3", "4", "x"]),
+                                     _WEIGHT, max_size=3),
+        "years": st.integers(1890, 2110).flatmap(_years_pair),
+        "pubs_per_country_year": st.one_of(
+            st.floats(0, 5), st.sampled_from([1e300, math.inf, math.nan, -1.0])),
+        "drift_birc": _WEIGHT,
+        "drift_mirc": _WEIGHT,
+        "base_concentration": st.one_of(st.floats(-1, 2),
+                                        st.sampled_from([math.inf, math.nan])),
+        "shared_base": st.booleans(),
+        "global_agenda": st.lists(_WEIGHT, max_size=4),
+        "affinity": st.lists(st.lists(_WEIGHT, max_size=3), max_size=3),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCENARIO_DICTS)
+def test_any_scenario_loads_or_is_rejected(spec):
+    """A scenario either raises ScenarioError or yields records that ingest
+    reads back unchanged."""
+    try:
+        scenario = Scenario.from_dict(spec)
+    except ScenarioError:
+        return
+    for record in itertools.islice(generate(scenario), 50):
+        assert parse_record(record_to_line(record)) == record
