@@ -8,20 +8,8 @@ summaries (boxplots, growth rates, scatter datasets). A seeded synthetic
 corpus generator supports desk-scale experiments.
 """
 
-from .aggregates import (
-    BoxplotStats,
-    GrowthRateResult,
-    RegionYearCounts,
-    ScatterPoint,
-    ThresholdFlags,
-    birc_share_points,
-    boxplot_stats,
-    growth_rate,
-    growth_table,
-    region_boxplot,
-    scatter_dataset,
-    threshold_flags,
-)
+from importlib import import_module
+
 from .classify import (
     CollabKind,
     CollaborationType,
@@ -44,27 +32,31 @@ from .corpus import (
     record_to_line,
     validate_corpus,
 )
-from .profiles import (
-    BuildConfig,
-    CountryProfileSet,
-    Profile,
-    ProfileFold,
-    accumulate,
-    build_profiles,
-    dump_rows,
-    merge_tables,
-)
-from .similarity import (
-    INDICATORS,
-    CountrySimilarityReport,
-    Deviation,
-    WorldBaseline,
-    cosine,
-    deviation,
-    five_indicators,
-    world_baseline,
-)
-from .synthgen import Scenario, ScenarioError, generate, region_map_for
+
+# The numpy-backed names load with their module on first access (PEP 562),
+# so importing the package, or running ``collabsim validate``, needs no numpy.
+_LAZY = {
+    "aggregates": ("BoxplotStats", "GrowthRateResult", "RegionYearCounts",
+                   "ScatterPoint", "ThresholdFlags", "birc_share_points",
+                   "boxplot_stats", "growth_rate", "growth_table",
+                   "region_boxplot", "scatter_dataset", "threshold_flags"),
+    "profiles": ("BuildConfig", "CountryProfileSet", "Profile", "ProfileFold",
+                 "accumulate", "build_profiles", "dump_rows", "merge_tables"),
+    "similarity": ("INDICATORS", "CountrySimilarityReport", "Deviation",
+                   "WorldBaseline", "cosine", "deviation", "five_indicators",
+                   "world_baseline"),
+    "synthgen": ("Scenario", "ScenarioError", "generate", "region_map_for"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -15,24 +15,23 @@ import numpy as np
 
 from .classify import CollabKind, CollaborationType, birc_share
 from .corpus import PublicationRecord, RegionMap, region_of
+from .options import (  # noqa: F401 (re-export)
+    CAGR,
+    GROWTH_METHODS,
+    LOGLINEAR,
+    REGION_COUNTING_MODES,
+    REGION_COUNTRY_SUM,
+    REGION_DEDUP,
+    SHARE_DENOMINATORS,
+    SHARE_OF_INTERNATIONAL,
+    SHARE_OF_TOTAL,
+)
 
 if TYPE_CHECKING:  # annotations only; profiles imports this module
     from .profiles import CountryProfileSet
     from .similarity import CountrySimilarityReport
 
 WHISKER = 1.5
-
-CAGR = "cagr"
-LOGLINEAR = "loglinear"
-GROWTH_METHODS = (CAGR, LOGLINEAR)
-
-REGION_DEDUP = "dedup"
-REGION_COUNTRY_SUM = "country"
-REGION_COUNTING_MODES = (REGION_DEDUP, REGION_COUNTRY_SUM)
-
-SHARE_OF_INTERNATIONAL = "international"
-SHARE_OF_TOTAL = "total"
-SHARE_DENOMINATORS = (SHARE_OF_INTERNATIONAL, SHARE_OF_TOTAL)
 
 
 @dataclass(frozen=True)

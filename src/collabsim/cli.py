@@ -14,10 +14,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .aggregates import GROWTH_METHODS, REGION_COUNTING_MODES, SHARE_DENOMINATORS
 from .corpus import UNMAPPED_ACTIONS, CorpusError, RegionMapError
-from .reporting import RunConfig, UsageError, run_outputs, run_synth, run_validate
-from .synthgen import ScenarioError
+from .options import (
+    GROWTH_METHODS,
+    REGION_COUNTING_MODES,
+    SHARE_DENOMINATORS,
+    RunConfig,
+    UsageError,
+    run_validate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,6 +84,23 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**options)
 
 
+# The commands that fold profiles or generate corpora import numpy, through
+# reporting and synthgen, only when they run; validate needs neither.
+
+def _run_outputs(args: argparse.Namespace) -> int:
+    from .reporting import run_outputs
+    return run_outputs(args.command, _config(args))
+
+
+def _run_synth(args: argparse.Namespace) -> int:
+    from .reporting import run_synth
+    from .synthgen import ScenarioError
+    try:
+        return run_synth(args.scenario, args.out, args.regions_out)
+    except ScenarioError as exc:
+        return _fail(str(exc), EXIT_DATA)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="collabsim",
                      description="Collaboration-type profiles, similarity "
@@ -103,8 +125,7 @@ def build_parser() -> _Parser:
         if name == "validate":
             cmd.set_defaults(func=lambda args: run_validate(_config(args)))
         else:
-            cmd.set_defaults(
-                func=lambda args, name=name: run_outputs(name, _config(args)))
+            cmd.set_defaults(func=_run_outputs)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--scenario", required=True, type=Path,
@@ -113,8 +134,7 @@ def build_parser() -> _Parser:
                        help="output corpus file (JSON lines)")
     synth.add_argument("--regions-out", type=Path, default=None,
                        help="also write a matching country,region CSV")
-    synth.set_defaults(
-        func=lambda args: run_synth(args.scenario, args.out, args.regions_out))
+    synth.set_defaults(func=_run_synth)
     return parser
 
 
@@ -130,9 +150,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    except (CorpusError, RegionMapError, ScenarioError) as exc:
-        return _fail(str(exc), EXIT_DATA)
-    except OSError as exc:
+    except (CorpusError, RegionMapError, OSError) as exc:
         return _fail(str(exc), EXIT_DATA)
 
 

@@ -15,6 +15,7 @@ import json
 import logging
 import string
 from dataclasses import dataclass, fields, replace
+from itertools import starmap
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -98,8 +99,9 @@ def _utf8_ok(text: str) -> bool:
     return True
 
 
-def _parse_fast(line: str) -> PublicationRecord | None:
-    """The record of a line that is already in canonical form, else None.
+def _fast_row(line: str) -> tuple | None:
+    """The ``(id, year, subjects, countries)`` row of a line that is already
+    in canonical form, else None.
 
     Accepts only: one JSON object filling the whole line (a final newline
     aside) with a non-empty string ``id``, an integer ``year``, non-empty
@@ -126,10 +128,19 @@ def _parse_fast(line: str) -> PublicationRecord | None:
     except TypeError:  # a non-string subject or an unhashable country
         return None
     if (not subject_set or "" in subject_set or not country_set
-            or not country_set <= _CANONICAL_CODES or not _utf8_ok(line)
-            or not _utf8_ok("".join(subject_set))):
+            or not country_set <= _CANONICAL_CODES):
         return None
-    return PublicationRecord(rec_id, year, subject_set, country_set)
+    # an ASCII line without escapes decodes to ASCII strings only
+    if ((not line.isascii() or "\\" in line)
+            and not (_utf8_ok(line) and _utf8_ok("".join(subject_set)))):
+        return None
+    return rec_id, year, subject_set, country_set
+
+
+def _parse_fast(line: str) -> PublicationRecord | None:
+    """The record of :func:`_fast_row`, or None."""
+    row = _fast_row(line)
+    return None if row is None else PublicationRecord(*row)
 
 
 def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
@@ -325,6 +336,63 @@ class ValidationPolicy:
         return replace(self, unmapped_country=action)
 
 
+def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
+              policy: ValidationPolicy | None = None,
+              stats: CorpusStats | None = None) -> Iterator[tuple]:
+    """The accepting loop: one ``(id, year, subjects, countries)`` row, in
+    :class:`PublicationRecord`'s field order, per accepted line.
+
+    A canonical line becomes a row with no record built; every other line
+    goes to :func:`_parse_checked`, which alone words every rejection.
+    ``stats`` is updated in place while the stream is consumed, so callers
+    that stop early still get exact counters for the consumed prefix.
+    """
+    policy = policy or ValidationPolicy()
+    stats = stats if stats is not None else CorpusStats()
+    lo, hi = DEFAULT_YEAR_WINDOW
+    mapped = (frozenset(region_map.entries)
+              if region_map is not None and policy.unmapped_country != KEEP
+              else None)
+    for line_no, line in enumerate(lines, start=1):
+        stats.total_lines += 1
+        row = _fast_row(line)
+        if row is None:
+            try:
+                record = _parse_checked(line, line_no)
+            except RecordError as exc:
+                if getattr(policy, exc.category) == FAIL:
+                    raise CorpusError(str(exc)) from exc
+                if exc.category == MISSING_COUNTRY:
+                    stats.skipped_missing_country += 1
+                elif exc.category == MISSING_SUBJECT:
+                    stats.skipped_missing_subject += 1
+                else:
+                    stats.skipped_malformed += 1
+                continue
+            row = record.id, record.year, record.subjects, record.countries
+        year = row[1]
+        if not lo <= year <= hi:
+            message = (f"line {line_no}: year {year} outside accepted "
+                       f"window {lo}-{hi}")
+            if policy.malformed == FAIL:
+                raise CorpusError(message)
+            stats.skipped_malformed += 1
+            continue
+        if mapped is not None and not row[3] <= mapped:
+            if policy.unmapped_country == FAIL:
+                unmapped = sorted(row[3] - mapped)
+                raise CorpusError(
+                    f"line {line_no}: unmapped countries {unmapped}")
+            stats.skipped_unmapped_country += 1
+            continue
+        stats.accepted += 1
+        if stats.year_min is None or year < stats.year_min:
+            stats.year_min = year
+        if stats.year_max is None or year > stats.year_max:
+            stats.year_max = year
+        yield row
+
+
 def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
                   policy: ValidationPolicy | None = None,
                   stats: CorpusStats | None = None,
@@ -336,47 +404,8 @@ def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     Parsing is pure per line; the stream may be partitioned arbitrarily and
     the per-shard stats merged afterwards.
     """
-    policy = policy or ValidationPolicy()
-    stats = stats if stats is not None else CorpusStats()
-    lo, hi = DEFAULT_YEAR_WINDOW
-    mapped = (frozenset(region_map.entries)
-              if region_map is not None and policy.unmapped_country != KEEP
-              else None)
-    for line_no, line in enumerate(lines, start=1):
-        stats.total_lines += 1
-        try:
-            record = parse_record(line, line_no)
-        except RecordError as exc:
-            if getattr(policy, exc.category) == FAIL:
-                raise CorpusError(str(exc)) from exc
-            if exc.category == MISSING_COUNTRY:
-                stats.skipped_missing_country += 1
-            elif exc.category == MISSING_SUBJECT:
-                stats.skipped_missing_subject += 1
-            else:
-                stats.skipped_malformed += 1
-            continue
-        year = record.year
-        if not lo <= year <= hi:
-            message = (f"line {line_no}: year {year} outside accepted "
-                       f"window {lo}-{hi}")
-            if policy.malformed == FAIL:
-                raise CorpusError(message)
-            stats.skipped_malformed += 1
-            continue
-        if mapped is not None and not record.countries <= mapped:
-            if policy.unmapped_country == FAIL:
-                unmapped = sorted(record.countries - mapped)
-                raise CorpusError(
-                    f"line {line_no}: unmapped countries {unmapped}")
-            stats.skipped_unmapped_country += 1
-            continue
-        stats.accepted += 1
-        if stats.year_min is None or year < stats.year_min:
-            stats.year_min = year
-        if stats.year_max is None or year > stats.year_max:
-            stats.year_max = year
-        yield record
+    return starmap(PublicationRecord,
+                   _accepted(lines, region_map, policy, stats))
 
 
 def validate_corpus(lines: Iterable[str],
@@ -384,7 +413,7 @@ def validate_corpus(lines: Iterable[str],
                     policy: ValidationPolicy | None = None) -> CorpusStats:
     """Run one full validation pass and return the counters."""
     stats = CorpusStats()
-    for _ in iter_accepted(lines, region_map, policy, stats):
+    for _ in _accepted(lines, region_map, policy, stats):
         pass
     return stats
 

@@ -258,15 +258,21 @@ class ProfileFold:
 
     def add(self, record: PublicationRecord) -> None:
         """Fold one record: intern its codes and buffer their ids."""
-        k = len(record.countries)
+        self.add_codes(record.year, record.countries, record.subjects)
+
+    def add_codes(self, year: int, countries: frozenset[str],
+                  subjects: frozenset[str]) -> None:
+        """Fold one record given as its year and its distinct country and
+        subject codes."""
+        k = len(countries)
         if k < 1:
             raise ValueError("record has no countries")
-        m = len(record.subjects)
-        self._c.extend(map(self._countries.__getitem__, record.countries))
-        self._s.extend(map(self._subjects.__getitem__, record.subjects))
+        m = len(subjects)
+        self._c.extend(map(self._countries.__getitem__, countries))
+        self._s.extend(map(self._subjects.__getitem__, subjects))
         self._k.append(k)
         self._m.append(m)
-        self._y.append(self._years[record.year])
+        self._y.append(self._years[year])
         self._pending += k * (k + m)
         if self._pending >= FLUSH_PAIRS:
             self._flush()

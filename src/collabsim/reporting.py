@@ -13,18 +13,11 @@ import hashlib
 import io
 import json
 import os
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .aggregates import (
-    CAGR,
-    GROWTH_METHODS,
-    REGION_COUNTING_MODES,
-    REGION_DEDUP,
-    SHARE_DENOMINATORS,
-    SHARE_OF_INTERNATIONAL,
     RegionYearCounts,
     birc_share_points,
     growth_table,
@@ -32,17 +25,8 @@ from .aggregates import (
     scatter_dataset,
     threshold_flags,
 )
-from .corpus import (
-    SKIP,
-    UNMAPPED_ACTIONS,
-    CorpusStats,
-    RegionMap,
-    ValidationPolicy,
-    iter_accepted,
-    load_region_map,
-    open_corpus,
-    validate_corpus,
-)
+from .corpus import CorpusStats, RegionMap, _accepted, load_region_map, open_corpus
+from .options import RunConfig, UsageError, run_validate  # noqa: F401 (re-export)
 from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
     INDICATORS,
@@ -77,65 +61,6 @@ FLAG_METRICS = ("sim_dom_birc", "sim_dom_mirc")
 BOXPLOT_METRICS = ("birc_share",) + INDICATORS
 
 
-class UsageError(Exception):
-    """Bad flags or configuration (exit code 1)."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one analysis run needs; validated before any work."""
-
-    input: Path
-    regions: Path | None
-    out: Path
-    year_min: int = 2008
-    year_max: int = 2017
-    mega_threshold: int | None = None
-    min_pubs: int = 1
-    threshold: float = 0.5
-    growth_method: str = CAGR
-    fig2_denominator: str = SHARE_OF_INTERNATIONAL
-    region_counting: str = REGION_DEDUP
-    scatter_region: str | None = None
-    fail_fast: bool = False
-    unmapped_policy: str = SKIP
-
-    def validate(self) -> None:
-        if self.year_min > self.year_max:
-            raise UsageError(f"year filter {self.year_min}:{self.year_max} "
-                             "has min > max")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise UsageError("threshold must lie in [0, 1]")
-        if self.mega_threshold is not None and self.mega_threshold < 3:
-            raise UsageError("mega threshold must be >= 3")
-        if self.min_pubs < 0:
-            raise UsageError("min-pubs must be >= 0")
-        if self.growth_method not in GROWTH_METHODS:
-            raise UsageError(f"unknown growth method {self.growth_method!r}")
-        if self.fig2_denominator not in SHARE_DENOMINATORS:
-            raise UsageError(
-                f"unknown fig2 denominator {self.fig2_denominator!r}")
-        if self.region_counting not in REGION_COUNTING_MODES:
-            raise UsageError(
-                f"unknown region counting mode {self.region_counting!r}")
-        if self.unmapped_policy not in UNMAPPED_ACTIONS:
-            raise UsageError(f"unknown unmapped policy {self.unmapped_policy!r}")
-
-    def policy(self) -> ValidationPolicy:
-        policy = (ValidationPolicy.fail_fast() if self.fail_fast
-                  else ValidationPolicy())
-        return policy.with_unmapped(self.unmapped_policy)
-
-    def public_dict(self) -> dict:
-        """Every field, with the year window as one ``years`` pair and the
-        paths as strings (the ``config`` of ``manifest.json``)."""
-        public = {f.name: getattr(self, f.name) for f in fields(self)}
-        public["years"] = [public.pop("year_min"), public.pop("year_max")]
-        for name in ("input", "regions", "out"):
-            public[name] = str(public[name])
-        return public
-
-
 @dataclass
 class PipelineResult:
     region_map: RegionMap
@@ -153,13 +78,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     region_map = load_region_map(cfg.regions)
     stats = CorpusStats()
     fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
+    add, year_min, year_max = fold.add_codes, cfg.year_min, cfg.year_max
     n_year_filtered = 0
     with open_corpus(cfg.input) as fh:
-        for record in iter_accepted(fh, region_map, cfg.policy(), stats):
-            if not cfg.year_min <= record.year <= cfg.year_max:
+        for _, year, subjects, countries in _accepted(fh, region_map,
+                                                      cfg.policy(), stats):
+            if year_min <= year <= year_max:
+                add(year, countries, subjects)
+            else:
                 n_year_filtered += 1
-                continue
-            fold.add(record)
     table, region_counts = fold.table(), fold.region_counts()
     reports = [five_indicators(table[c], region_map) for c in sorted(table)]
     baseline = world_baseline(reports, cfg.min_pubs)
@@ -372,18 +299,6 @@ def run_outputs(subcommand: str, cfg: RunConfig) -> int:
     except BaseException:
         stager.abort()
         raise
-    return 0
-
-
-def run_validate(cfg: RunConfig, stream=None) -> int:
-    """Validate the corpus and print the counters as one JSON line."""
-    cfg.validate()
-    region_map = load_region_map(cfg.regions) if cfg.regions else None
-    with open_corpus(cfg.input) as fh:
-        stats = validate_corpus(fh, region_map, cfg.policy())
-    out = stream if stream is not None else sys.stdout
-    json.dump(stats.as_dict(), out)
-    out.write("\n")
     return 0
 
 

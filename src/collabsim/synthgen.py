@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import (
     _CANONICAL_CODES,
+    DEFAULT_YEAR_WINDOW,
     PublicationRecord,
     RegionMap,
     _utf8_ok,
@@ -50,6 +51,9 @@ _PROB_TOL = 1e-9
 # each country-year draws arrays of about this many records, so a larger
 # mean asks for more memory than a desk-scale corpus needs
 _MAX_PUBS_PER_COUNTRY_YEAR = 1_000_000
+
+# every country row of base_topic holds one weight per subject
+_MAX_SUBJECTS = 10_000
 
 _KNOWN_KEYS = {
     "seed", "countries", "n_countries", "subjects", "n_subjects",
@@ -103,6 +107,8 @@ def _check_codes(countries: tuple[str, ...], subjects: tuple[str, ...]) -> None:
                 f"countries must be two-letter codes AA..ZZ, got {code!r}")
     if not subjects or len(set(subjects)) != len(subjects):
         raise ScenarioError("subjects must be non-empty and unique")
+    if len(subjects) > _MAX_SUBJECTS:
+        raise ScenarioError(f"at most {_MAX_SUBJECTS} subjects supported")
     for code in subjects:
         if not code or code != code.strip() or not _utf8_ok(code):
             raise ScenarioError("subjects must be non-empty, stripped and "
@@ -114,6 +120,12 @@ def _default_countries(n: int) -> list[str]:
         raise ScenarioError("at most 676 synthetic countries supported")
     letters = string.ascii_uppercase
     return [letters[i // 26] + letters[i % 26] for i in range(n)]
+
+
+def _default_subjects(n: int) -> list[str]:
+    if n > _MAX_SUBJECTS:
+        raise ScenarioError(f"at most {_MAX_SUBJECTS} subjects supported")
+    return [f"S{i:03d}" for i in range(n)]
 
 
 @dataclass(eq=False)
@@ -166,8 +178,7 @@ class Scenario:
         if "subjects" in spec:
             subjects = tuple(_strings(spec, "subjects"))
         else:
-            subjects = tuple(f"S{i:03d}"
-                             for i in range(_number(spec, "n_subjects", 40, int)))
+            subjects = tuple(_default_subjects(_number(spec, "n_subjects", 40, int)))
         _check_codes(countries, subjects)
         n_c, n_s = len(countries), len(subjects)
 
@@ -309,6 +320,10 @@ class Scenario:
         first, last = self.years
         if first > last:
             raise ScenarioError("years must satisfy first <= last")
+        lo, hi = DEFAULT_YEAR_WINDOW
+        if first < lo or last > hi:
+            raise ScenarioError(
+                f"years must lie in ingest's accepted window {lo}-{hi}")
         if not 0 <= self.pubs_per_country_year <= _MAX_PUBS_PER_COUNTRY_YEAR:
             raise ScenarioError("pubs_per_country_year must lie in "
                                 f"[0, {_MAX_PUBS_PER_COUNTRY_YEAR}]")

@@ -56,6 +56,24 @@ def recount(records, mega_threshold=None, year_min=None, year_max=None):
     return out
 
 
+# CollabKind values, which key RegionYearCounts
+KIND_VALUES = {"domestic": "domestic", "birc": "bilateral",
+               "mirc": "multilateral", "mega": "mega_multilateral"}
+
+
+def recount_regions(records, region_of, per_country=False, mega_threshold=None):
+    """Brute-force per-region annual counts by kind: a record counts once per
+    region it touches, or once per country with ``per_country``."""
+    out = {}
+    for rec in records:
+        kind = KIND_VALUES[kind_of(len(rec.countries), mega_threshold)]
+        regions = [region_of(c) for c in rec.countries]
+        for region in regions if per_country else set(regions):
+            by_year = out.setdefault(region, {}).setdefault(kind, {})
+            by_year[rec.year] = by_year.get(rec.year, 0) + 1
+    return out
+
+
 def cosine_ref(a, b):
     """Plain-float cosine over dicts; None when either vector is empty."""
     if not a or not b:

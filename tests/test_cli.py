@@ -98,6 +98,28 @@ def test_validate_reports_skips(tmp_path, capsys):
     assert stats["year_range"] == [2010, 2012]
 
 
+def test_validate_loads_no_numpy(inputs, tmp_path, capsys):
+    corpus, regions = inputs
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(CORPUS + "garbage\n" + '{"id":"u","year":2010,'
+                     '"subjects":["A"],"countries":["XX"]}\n')
+    args = ["validate", "--input", str(dirty), "--regions", str(regions)]
+    code = ("import sys\n"
+            "from collabsim.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "assert 'numpy' not in sys.modules, 'validate imported numpy'\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert _run(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert json.loads(proc.stdout) == {
+        "total_lines": 8, "accepted": 6, "skipped_missing_country": 0,
+        "skipped_missing_subject": 0, "skipped_unmapped_country": 1,
+        "skipped_malformed": 1, "year_range": [2010, 2012]}
+
+
 def test_validate_fail_fast_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     for line in ("garbage", DEEP_JSON, HUGE_YEAR):
@@ -339,12 +361,23 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
                  {"seed": 1, "pubs_per_country_year": 1e300},
                  {"seed": 1, "countries": ["ABC", "DE"],
                   "type_mix": {"domestic": 1, "birc": 0, "mirc": 0}},
-                 {"seed": 1, "subjects": ["S1", "S1 ", ""]}):
+                 {"seed": 1, "subjects": ["S1", "S1 ", ""]},
+                 {"seed": 2, "n_countries": 3, "n_subjects": 5,
+                  "pubs_per_country_year": 5, "years": [1890, 1891]},
+                 {"seed": 1, "n_subjects": 10_001}):
         scenario.write_bytes(spec if isinstance(spec, bytes)
                              else json.dumps(spec).encode())
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
         assert not corpus.exists()
         assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+
+def test_every_public_name_resolves():
+    import collabsim
+    from collabsim import classify
+    assert callable(classify)  # the function, not the submodule
+    for name in collabsim.__all__:
+        getattr(collabsim, name)
 
 
 def test_module_entry_point():

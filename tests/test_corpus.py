@@ -1,9 +1,12 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collabsim import corpus
 from collabsim.corpus import (
     CorpusError,
     CorpusStats,
@@ -16,10 +19,13 @@ from collabsim.corpus import (
     iter_accepted,
     load_region_map,
     normalize_country,
+    open_corpus,
     parse_record,
     record_to_line,
     validate_corpus,
 )
+from collabsim.reporting import RunConfig, run_pipeline
+from oracle import random_records, recount, recount_regions
 
 HUGE_INT = "1" * 5000  # past CPython's int-string digit limit
 
@@ -323,17 +329,27 @@ def test_validate_year_window():
     assert stats.skipped_malformed == 1
 
 
-def _line_strategy():
-    good = st.builds(
+def test_validate_fail_fast_year_window(tmp_path):
+    lines = [GOOD % 1, '{"id":"a","year":1850,"subjects":["A"],"countries":["NL"]}']
+    with pytest.raises(CorpusError) as err:
+        validate_corpus(lines, _region_map_nl(tmp_path), ValidationPolicy.fail_fast())
+    assert str(err.value) == "line 2: year 1850 outside accepted window 1900-2100"
+
+
+_LINE = st.one_of(
+    st.builds(
         lambda i, year, subs, cs: json.dumps(
             {"id": f"p{i}", "year": year, "subjects": subs, "countries": cs}),
         st.integers(0, 99),
         st.integers(1990, 2030),
         st.lists(st.sampled_from(["A", "B", "C"]), max_size=3),
         st.lists(st.sampled_from(["NL", "ES", "XX", "ZZZ"]), max_size=3),
-    )
-    bad = st.sampled_from(["", "{", "[1,2]", '{"id":1}', "null"])
-    return st.lists(st.one_of(good, bad), max_size=30)
+    ),
+    st.sampled_from(["", "{", "[1,2]", '{"id":1}', "null"]))
+
+
+def _line_strategy():
+    return st.lists(_LINE, max_size=30)
 
 
 @given(_line_strategy())
@@ -388,3 +404,140 @@ def test_iter_accepted_streams_with_stats():
     assert len(seen) == 5
     assert stats.accepted == 5
     assert all(rec.countries == frozenset({"NL"}) for rec in seen)
+
+
+# --- the accepting loop against a per-line checked reference --------------
+
+def _checked_reference(lines, mapped, policy):
+    """Records, counters and fail-fast message of a pass that reads every
+    line with ``_parse_checked`` alone."""
+    stats, records = CorpusStats(), []
+    for line_no, line in enumerate(lines, start=1):
+        stats.total_lines += 1
+        try:
+            record = _parse_checked(line, line_no)
+        except RecordError as exc:
+            if getattr(policy, exc.category) == "fail":
+                return records, stats, str(exc)
+            name = f"skipped_{exc.category}"
+            setattr(stats, name, getattr(stats, name) + 1)
+            continue
+        if not 1900 <= record.year <= 2100:
+            if policy.malformed == "fail":
+                return records, stats, (f"line {line_no}: year {record.year} "
+                                        "outside accepted window 1900-2100")
+            stats.skipped_malformed += 1
+            continue
+        unmapped = sorted(record.countries - mapped)
+        if unmapped and policy.unmapped_country != "keep":
+            if policy.unmapped_country == "fail":
+                return records, stats, (f"line {line_no}: unmapped countries "
+                                        f"{unmapped}")
+            stats.skipped_unmapped_country += 1
+            continue
+        stats.accepted += 1
+        records.append(record)
+    if records:
+        stats.year_min = min(r.year for r in records)
+        stats.year_max = max(r.year for r in records)
+    return records, stats, None
+
+
+# compact lines (the fast path, but for an escaped lone surrogate) with
+# years at the ingest window's edges and on both sides of the analysis years
+_CANONICAL_LINE = st.builds(
+    lambda i, year, subjects, countries: json.dumps(
+        {"id": f"c{i}", "year": year, "subjects": subjects,
+         "countries": countries}, separators=(",", ":")),
+    st.integers(0, 9),
+    st.one_of(st.sampled_from([1899, 1900, 2100, 2101]),
+              st.integers(2005, 2020)),
+    st.lists(st.sampled_from(["A", "B", "\u00e9", "\ud800"]), min_size=1,
+             max_size=3),
+    st.lists(st.sampled_from(["NL", "ES", "XX"]), min_size=1, max_size=3))
+
+_NOISE = st.one_of(st.text(max_size=40),
+                   st.binary(max_size=40).map(
+                       lambda b: b.decode("utf-8", "surrogateescape")))
+
+
+def _assert_table_matches(table, reference):
+    assert set(table) == set(reference)
+    for country, ps in table.items():
+        ref = reference[country]
+        for family, profile in ps.disciplinary.items():
+            assert profile.counts == dict(ref["disc"][family])
+        for family, profile in ps.partner.items():
+            assert profile.counts == dict(ref["part"][family])
+        assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
+        assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
+        assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
+        assert ps.pub_counts.n_mega == ref["n"]["mega"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_CANONICAL_LINE, _near_valid_line(), _LINE, _NOISE),
+                max_size=25),
+       st.sampled_from(["skip", "keep", "fail"]), st.sampled_from([None, 3]),
+       st.sampled_from(["dedup", "country"]))
+def test_accepting_loop_matches_checked_reference(lines, action, mega, counting):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.writelines(line if line.endswith("\n") else line + "\n"
+                          for line in lines)
+        regions = Path(tmp) / "regions.csv"
+        regions.write_text("country,region\nNL,North\nES,South\n")
+        with open_corpus(path) as fh:
+            lines = fh.readlines()  # as the pipeline reads them
+        cfg = RunConfig(path, regions, Path(tmp) / "out", mega_threshold=mega,
+                        region_counting=counting, fail_fast=action == "fail",
+                        unmapped_policy=action)
+        region_map, policy = load_region_map(regions), cfg.policy()
+        # XX is a valid code the map leaves unmapped
+        records, stats, error = _checked_reference(
+            lines, set(region_map.entries), policy)
+        if error is not None:
+            for run in (lambda: validate_corpus(lines, region_map, policy),
+                        lambda: list(iter_accepted(lines, region_map, policy)),
+                        lambda: run_pipeline(cfg)):
+                with pytest.raises(CorpusError) as err:
+                    run()
+                assert str(err.value) == error
+            return
+        assert validate_corpus(lines, region_map, policy) == stats
+        assert list(iter_accepted(lines, region_map, policy)) == records
+        result = run_pipeline(cfg)
+    kept = [r for r in records if cfg.year_min <= r.year <= cfg.year_max]
+    assert result.stats == stats
+    assert result.n_year_filtered == len(records) - len(kept)
+    _assert_table_matches(result.table, recount(kept, mega))
+    assert result.region_counts.counts == recount_regions(
+        kept, lambda c: region_map.entries.get(c, "UNKNOWN"),
+        counting == "country", mega)
+
+
+def test_run_pipeline_builds_no_record_on_canonical_corpus(tmp_path,
+                                                           monkeypatch):
+    built = []
+
+    class CountedRecord(corpus.PublicationRecord):
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
+
+    monkeypatch.setattr(corpus, "PublicationRecord", CountedRecord)
+    records = random_records(random.Random(3), 400, max_countries=6)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(record_to_line(r) + "\n" for r in records))
+    regions = tmp_path / "regions.csv"
+    regions.write_text("country,region\n" + "".join(
+        f"{c},R{i % 3}\n" for i, c in enumerate(
+            sorted({c for r in records for c in r.countries}))))
+    result = run_pipeline(RunConfig(path, regions, tmp_path / "out"))
+    assert built == []
+    assert result.stats.accepted == len(records)
+    _assert_table_matches(result.table, recount(records, None, 2008, 2017))
+    # the counter sees the records the public view builds
+    assert len(list(iter_accepted(path.read_text().splitlines()))) == len(records)
+    assert len(built) == len(records)

@@ -179,6 +179,10 @@ def test_scenario_rejects_oversized_mirc_sets():
     ({"countries": ["ABC", "DE"],
       "type_mix": {"domestic": 1.0, "birc": 0.0, "mirc": 0.0}}, "countries"),
     ({"subjects": ["S1", "S1 ", ""]}, "subjects"),
+    ({"years": [1890, 1891]}, "years"),
+    ({"years": [2090, 2101]}, "years"),
+    ({"n_subjects": 10_001}, "subjects"),
+    ({"subjects": [f"S{i}" for i in range(10_001)]}, "subjects"),
 ])
 def test_scenario_rejects_wrong_types(overrides, named):
     with pytest.raises(ScenarioError, match=named):
