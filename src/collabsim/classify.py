@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .corpus import PublicationRecord
@@ -20,12 +20,23 @@ class CollabKind(str, Enum):
 INTERNATIONAL_KINDS = frozenset(
     {CollabKind.BILATERAL, CollabKind.MULTILATERAL, CollabKind.MEGA})
 
-_COUNT_FIELD = {
-    CollabKind.DOMESTIC: "n_domestic",
-    CollabKind.BILATERAL: "n_bilateral",
-    CollabKind.MULTILATERAL: "n_multilateral",
-    CollabKind.MEGA: "n_mega",
-}
+_KINDS = tuple(CollabKind)  # in kind index order
+
+
+def check_mega_threshold(mega_threshold: int | None) -> None:
+    """Reject a mega class threshold below three countries."""
+    if mega_threshold is not None and mega_threshold < 3:
+        raise ValueError("mega_threshold must be >= 3")
+
+
+def kind_index(k, mega_threshold: int | None = None):
+    """Kind index of ``k`` >= 1 distinct countries: 0 domestic (one), 1
+    bilateral (two), 2 multilateral (more), 3 mega (at least a threshold
+    that is not None). ``k`` may be an int or an integer array."""
+    index = (k > 1) * 1 + (k > 2)
+    if mega_threshold is not None:
+        index = index + (k >= mega_threshold)
+    return index
 
 
 @dataclass(frozen=True)
@@ -40,27 +51,13 @@ class CollaborationType:
 
 def classify(record: PublicationRecord,
              mega_threshold: int | None = None) -> CollaborationType:
-    """Classify a record by its number of distinct author countries.
-
-    One country is domestic, two bilateral, three or more multilateral.
-    When ``mega_threshold`` is set (>= 3), records with at least that many
-    countries form a separate mega-multilateral class; when it is None the
-    class is disabled and such records stay multilateral.
-    """
-    if mega_threshold is not None and mega_threshold < 3:
-        raise ValueError("mega_threshold must be >= 3")
+    """Classify a record by its number of distinct author countries, as
+    :func:`kind_index` does; ``mega_threshold`` is None or at least 3."""
+    check_mega_threshold(mega_threshold)
     k = len(record.countries)
     if k < 1:
         raise ValueError("record has no countries")
-    if k == 1:
-        kind = CollabKind.DOMESTIC
-    elif k == 2:
-        kind = CollabKind.BILATERAL
-    elif mega_threshold is not None and k >= mega_threshold:
-        kind = CollabKind.MEGA
-    else:
-        kind = CollabKind.MULTILATERAL
-    return CollaborationType(kind, k)
+    return CollaborationType(_KINDS[kind_index(k, mega_threshold)], k)
 
 
 @dataclass
@@ -85,23 +82,20 @@ class TypeCounts:
         return self.n_domestic + self.n_international
 
     def add(self, kind: CollabKind, n: int = 1) -> None:
-        attr = _COUNT_FIELD[kind]
-        setattr(self, attr, getattr(self, attr) + n)
+        # the fields are declared in kind index order
+        name = fields(self)[_KINDS.index(kind)].name
+        setattr(self, name, getattr(self, name) + n)
 
     def merge(self, other: "TypeCounts") -> "TypeCounts":
-        return TypeCounts(
-            n_domestic=self.n_domestic + other.n_domestic,
-            n_bilateral=self.n_bilateral + other.n_bilateral,
-            n_multilateral=self.n_multilateral + other.n_multilateral,
-            n_mega=self.n_mega + other.n_mega,
-        )
+        return TypeCounts(*(getattr(self, f.name) + getattr(other, f.name)
+                            for f in fields(self)))
 
     __add__ = merge
 
 
 def birc_share(counts: TypeCounts) -> float | None:
     """Bilateral share of international output; None when there is none."""
-    denom = counts.n_bilateral + counts.n_multilateral + counts.n_mega
+    denom = counts.n_international
     if denom == 0:
         return None
     return counts.n_bilateral / denom

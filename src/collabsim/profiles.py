@@ -19,7 +19,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
-from .classify import CollabKind, CollaborationType, TypeCounts
+from .classify import (_KINDS, CollaborationType, TypeCounts,
+                       check_mega_threshold, kind_index)
 from .corpus import PublicationRecord, RegionMap, region_of
 
 SUBJECT_SPACE = "subject"
@@ -34,8 +35,7 @@ MEGA = "mega"
 DISC_FAMILIES = (DOMESTIC, INTERNATIONAL, BIRC, MIRC, MEGA)
 PARTNER_FAMILIES = (INTERNATIONAL, BIRC, MIRC, MEGA)
 
-# kind index of ProfileFold's count arrays: 0 domestic, 1 birc, 2 mirc, 3 mega
-_KINDS = tuple(CollabKind)
+# the family of each kind index of ProfileFold's count arrays (kind_index)
 _KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
 _FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
 
@@ -233,8 +233,7 @@ class ProfileFold:
     def __init__(self, mega_threshold: int | None = None,
                  region_map: RegionMap | None = None,
                  region_counting: str = REGION_DEDUP):
-        if mega_threshold is not None and mega_threshold < 3:
-            raise ValueError("mega_threshold must be >= 3")
+        check_mega_threshold(mega_threshold)
         if region_counting not in REGION_COUNTING_MODES:
             raise ValueError(
                 f"unknown region counting mode {region_counting!r}")
@@ -297,9 +296,7 @@ class ProfileFold:
         year = np.frombuffer(self._y, dtype=np.intc).astype(np.intp)
         self._reset_buffers()
 
-        kind = np.minimum(k, 3) - 1
-        if self.mega_threshold is not None:
-            kind[k >= self.mega_threshold] = 3
+        kind = kind_index(k, self.mega_threshold)
         # one entry per (record, country)
         rec = np.repeat(np.arange(len(k)), k)
         row = kind[rec] * n_c + c

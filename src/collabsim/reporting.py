@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,16 +125,26 @@ class OutputStager:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self._staged: list[tuple[Path, Path]] = []
 
-    def stage_text(self, name: str, text: str) -> None:
+    @contextmanager
+    def open(self, name: str | Path):
+        """A text file to write ``name`` (a path relative to the output
+        directory): written as ``.<name>.part`` beside it, removed if the
+        block fails, renamed by :meth:`commit`."""
         final = self.outdir / name
-        temp = self.outdir / f".{name}.part"
+        if any(final == staged for _, staged in self._staged):
+            raise FileExistsError(f"output named twice: {final}")
+        temp = final.with_name(f".{final.name}.part")
         try:
             with open(temp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                yield fh
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
         self._staged.append((temp, final))
+
+    def stage_text(self, name: str, text: str) -> None:
+        with self.open(name) as fh:
+            fh.write(text)
 
     def stage_csv(self, name: str, header: list[str], rows) -> None:
         self.stage_text(name, _csv_text(header, rows))
@@ -143,6 +154,11 @@ class OutputStager:
         return sorted(final.name for _, final in self._staged)
 
     def commit(self) -> None:
+        """Rename every staged file into place, or none if a target is a
+        directory."""
+        for _, final in self._staged:
+            if final.is_dir():
+                raise IsADirectoryError(f"output is a directory: {final}")
         for temp, final in self._staged:
             os.replace(temp, final)
         self._staged = []
@@ -303,24 +319,21 @@ def run_outputs(subcommand: str, cfg: RunConfig) -> int:
 
 
 def run_synth(scenario_path, out_path, regions_out=None) -> int:
-    """Generate a synthetic corpus (and optionally its region map)."""
+    """Generate a synthetic corpus (and optionally its region map); both
+    files are committed together or not at all."""
     scenario = Scenario.load(scenario_path)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    temp = out_path.with_name(f".{out_path.name}.part")
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    # the paths are relative to the working directory
+    stager = OutputStager(Path.cwd())
     try:
-        with open(temp, "w", encoding="utf-8", newline="") as fh:
+        with stager.open(out_path) as fh:
             write_jsonl(generate(scenario), fh)
         if regions_out is not None:
             region_map = region_map_for(scenario.countries)
             rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]
-            regions_out = Path(regions_out)
-            regions_temp = regions_out.with_name(f".{regions_out.name}.part")
-            with open(regions_temp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_csv_text(["country", "region"], rows))
-            os.replace(regions_temp, regions_out)
-        os.replace(temp, out_path)
+            stager.stage_csv(regions_out, ["country", "region"], rows)
+        stager.commit()
     except BaseException:
-        temp.unlink(missing_ok=True)
+        stager.abort()
         raise
     return 0

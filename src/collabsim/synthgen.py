@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -116,10 +115,9 @@ def _check_codes(countries: tuple[str, ...], subjects: tuple[str, ...]) -> None:
 
 
 def _default_countries(n: int) -> list[str]:
-    if n > 26 * 26:
+    if n > len(_CANONICAL_CODES):
         raise ScenarioError("at most 676 synthetic countries supported")
-    letters = string.ascii_uppercase
-    return [letters[i // 26] + letters[i % 26] for i in range(n)]
+    return sorted(_CANONICAL_CODES)[:max(n, 0)]
 
 
 def _default_subjects(n: int) -> list[str]:

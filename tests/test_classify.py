@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +7,11 @@ from collabsim.classify import (
     TypeCounts,
     birc_share,
     classify,
+    kind_index,
 )
 from collabsim.corpus import PublicationRecord
+
+from oracle import kind_of
 
 _CODES = [f"{a}{b}" for a in "ABCDEF" for b in "ABCDEF"]
 
@@ -69,6 +73,22 @@ def test_exactly_one_class():
     assert not classify(_record(1)).is_international
 
 
+# --- kind_index, the one kind rule ---------------------------------------
+
+_ORACLE_INDEX = {"domestic": 0, "birc": 1, "mirc": 2, "mega": 3}
+
+
+@pytest.mark.parametrize("mega_threshold", [None, 3, 5, 20])
+def test_kind_index_matches_oracle(mega_threshold):
+    ks = range(1, 46)
+    expected = [_ORACLE_INDEX[kind_of(k, mega_threshold)] for k in ks]
+    assert [kind_index(k, mega_threshold) for k in ks] == expected
+    assert all(type(kind_index(k, mega_threshold)) is int for k in ks)
+    array = kind_index(np.arange(1, 46), mega_threshold)
+    assert array.dtype.kind == "i"
+    assert array.tolist() == expected
+
+
 # --- TypeCounts ---------------------------------------------------------
 
 def test_type_counts_add_and_merge():
@@ -85,6 +105,11 @@ def test_type_counts_add_and_merge():
     assert merged.n_multilateral == 1
     assert merged.n_international == 4
     assert merged.n_total == 5
+
+
+def test_type_counts_merge_adds_every_field():
+    a = TypeCounts(1, 2, 3, 4)
+    assert a + TypeCounts(10, 20, 30, 40) == TypeCounts(11, 22, 33, 44)
 
 
 def test_merge_identity_and_commutativity():

@@ -364,12 +364,46 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
                  {"seed": 1, "subjects": ["S1", "S1 ", ""]},
                  {"seed": 2, "n_countries": 3, "n_subjects": 5,
                   "pubs_per_country_year": 5, "years": [1890, 1891]},
-                 {"seed": 1, "n_subjects": 10_001}):
+                 {"seed": 1, "n_subjects": 10_001},
+                 {"seed": 1, "n_countries": -1}):
         scenario.write_bytes(spec if isinstance(spec, bytes)
                              else json.dumps(spec).encode())
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2
         assert not corpus.exists()
         assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+
+def _tree(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("existing", ["corpus", "regions"])
+def test_synth_onto_a_directory_writes_nothing(tmp_path, capsys, existing):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "n_countries": 4,
+                                    "pubs_per_country_year": 3}))
+    corpus, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+    target = corpus if existing == "corpus" else regions
+    target.mkdir()
+    (target / "kept.txt").write_text("x")
+    before = _tree(tmp_path)
+    assert _run(["synth", "--scenario", scenario, "--out", corpus,
+                 "--regions-out", regions]) == 2
+    # one JSON line; neither file is committed and no staged file is left
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit_code"] == 2
+    assert _tree(tmp_path) == before
+    assert (target / "kept.txt").read_text() == "x"
+
+
+def test_synth_refuses_one_path_for_both_outputs(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "n_countries": 4}))
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run(["synth", "--scenario", scenario, "--out", corpus,
+                 "--regions-out", corpus]) == 2
+    assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+    assert _tree(tmp_path) == ["scenario.json"]
 
 
 def test_every_public_name_resolves():

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from collabsim import corpus
 from collabsim.corpus import (
+    DEFECT_CATEGORIES,
     CorpusError,
     CorpusStats,
+    PublicationRecord,
     RecordError,
     RegionMap,
     RegionMapError,
     ValidationPolicy,
+    _fast_row,
     _parse_checked,
-    _parse_fast,
     iter_accepted,
     load_region_map,
     normalize_country,
@@ -93,14 +96,15 @@ def test_parse_defects(line, category, named):
 def test_fast_path_takes_only_canonical_lines():
     # padded subjects are canonical once stripped; padded countries are not
     canonical = '{"id":"p","year":2010,"subjects":["A","B"],"countries":["NL","ES"]}'
-    assert _parse_fast(canonical) == _parse_checked(canonical)
-    assert _parse_fast(canonical + "\n") == _parse_checked(canonical)
+    assert PublicationRecord(*_fast_row(canonical)) == _parse_checked(canonical)
+    assert (PublicationRecord(*_fast_row(canonical + "\n"))
+            == _parse_checked(canonical))
     for line in (canonical + "\r\n", " " + canonical, canonical + " x",
                  canonical.replace('"NL"', '"nl"'),
                  canonical.replace('"ES"', '" ES"'),
                  canonical.replace('"A"', '" "'),
                  canonical.replace("2010", "true")):
-        assert _parse_fast(line) is None, line
+        assert _fast_row(line) is None, line
 
 
 def _outcome(parse, line):
@@ -393,6 +397,32 @@ def test_stats_merge_year_range():
     b = CorpusStats(total_lines=1, accepted=1, year_min=1999, year_max=2003)
     assert (a + b).year_range == (1999, 2005)
     assert (a + CorpusStats()).year_range == (2001, 2005)
+
+
+def test_stats_merge_adds_every_counter():
+    names = [f.name for f in fields(CorpusStats)
+             if f.name not in ("year_min", "year_max")]
+    a = CorpusStats(**{name: i + 1 for i, name in enumerate(names)})
+    b = CorpusStats(**{name: 100 * (i + 1) for i, name in enumerate(names)})
+    merged = a + b
+    for i, name in enumerate(names):
+        assert getattr(merged, name) == 101 * (i + 1), name
+    assert merged.year_range is None
+    assert {f"skipped_{c}" for c in DEFECT_CATEGORIES} == {
+        name for name in names if name.startswith("skipped_")}
+    assert merged.skipped_total == sum(
+        getattr(merged, f"skipped_{c}") for c in DEFECT_CATEGORIES)
+
+
+def test_stats_as_dict_keeps_validate_key_order():
+    # validate prints these keys in this order; the benchmark digests them
+    stats = CorpusStats(7, 3, 1, 1, 1, 1, year_min=2001, year_max=2004)
+    assert list(stats.as_dict().items()) == [
+        ("total_lines", 7), ("accepted", 3),
+        ("skipped_missing_country", 1), ("skipped_missing_subject", 1),
+        ("skipped_unmapped_country", 1), ("skipped_malformed", 1),
+        ("year_range", [2001, 2004])]
+    assert CorpusStats().as_dict()["year_range"] is None
 
 
 def test_iter_accepted_streams_with_stats():

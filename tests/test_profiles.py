@@ -26,7 +26,7 @@ from collabsim.profiles import (
     merge_tables,
 )
 
-from oracle import recount, random_records
+from oracle import recount, recount_regions, random_records
 
 
 def _rec(rid, subjects, countries, year=2010):
@@ -207,19 +207,22 @@ def test_build_matches_naive_recount():
     for config in (BuildConfig(), BuildConfig(mega_threshold=3),
                    BuildConfig(year_min=2010, year_max=2014, mega_threshold=5)):
         table = build_profiles(records, config)
-        reference = recount(records, config.mega_threshold, config.year_min,
-                            config.year_max)
-        assert set(table) == set(reference)
-        for country, ps in table.items():
-            ref = reference[country]
-            for family in ps.disciplinary:
-                assert ps.disciplinary[family].counts == dict(ref["disc"][family])
-            for family in ps.partner:
-                assert ps.partner[family].counts == dict(ref["part"][family])
-            assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
-            assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
-            assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
-            assert ps.pub_counts.n_mega == ref["n"]["mega"]
+        _assert_matches_recount(table, recount(
+            records, config.mega_threshold, config.year_min, config.year_max))
+
+
+def _assert_matches_recount(table, reference):
+    assert set(table) == set(reference)
+    for country, ps in table.items():
+        ref = reference[country]
+        for family in ps.disciplinary:
+            assert ps.disciplinary[family].counts == dict(ref["disc"][family])
+        for family in ps.partner:
+            assert ps.partner[family].counts == dict(ref["part"][family])
+        assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
+        assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
+        assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
+        assert ps.pub_counts.n_mega == ref["n"]["mega"]
 
 
 # --- ProfileFold against the per-record path ------------------------------
@@ -255,7 +258,14 @@ def test_fold_matches_per_record_path(mega_threshold, mode, region_map):
                              max_subjects=4, years=(2005, 2020))
     assert _pair_work(records) > 3 * FLUSH_PAIRS
     reference = _per_record(records, mega_threshold, region_map, mode)
-    assert _folded(records, mega_threshold, region_map, mode) == reference
+    folded = _folded(records, mega_threshold, region_map, mode)
+    assert folded == reference
+    # and both agree with the independent oracle
+    _assert_matches_recount(folded[0], recount(records, mega_threshold))
+    mapped = region_map.entries if region_map else {}
+    assert folded[1].counts == recount_regions(
+        records, lambda c: mapped.get(c, "UNKNOWN"), mode == "country",
+        mega_threshold)
     # shards folded separately merge to the serial result
     shards = [_folded(records[i::3], mega_threshold, region_map, mode)
               for i in range(3)]
