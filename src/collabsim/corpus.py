@@ -16,6 +16,7 @@ import logging
 import string
 from dataclasses import dataclass, fields, replace
 from itertools import starmap
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -223,14 +224,32 @@ def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
                              frozenset(countries))
 
 
+# The canonical corpus line: json.dumps's bytes with compact separators for
+# an object of a str id, an int year and sorted lists of str codes. Each
+# string goes through _json_string, the encoder json.dumps applies to a str.
+_LINE = '{"id":%s,"year":%d,"subjects":[%s],"countries":[%s]}'
+
+
+def _json_strings(codes) -> str:
+    return ",".join(map(_json_string, codes))
+
+
 def record_to_line(record: PublicationRecord) -> str:
     """Serialize a record to its canonical one-line JSON form."""
+    subjects = sorted(record.subjects)
+    countries = sorted(record.countries)
+    if type(record.year) is int:
+        try:
+            return _LINE % (_json_string(record.id), record.year,
+                            _json_strings(subjects), _json_strings(countries))
+        except TypeError:  # an id or code that is not a str
+            pass
     return json.dumps(
         {
             "id": record.id,
             "year": record.year,
-            "subjects": sorted(record.subjects),
-            "countries": sorted(record.countries),
+            "subjects": subjects,
+            "countries": countries,
         },
         separators=(",", ":"),
     )

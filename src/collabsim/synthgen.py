@@ -12,8 +12,11 @@ scenario. Each record is anchored at one country and year:
 
 Raising the drift of a collaboration type pulls its output toward the
 shared global agenda and away from the country's own topic base, so the
-corresponding domestic-vs-type similarity drops. Generation is sequential
-and fully determined by the scenario seed.
+corresponding domestic-vs-type similarity drops. Generation is fully
+determined by the scenario seed: the draws are those of a loop that takes
+one record, and one partner, at a time, but they are taken in blocks and
+the partner sets are built for a batch of records together (see
+:func:`_rows`), which :func:`generate` turns into records.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -285,13 +289,18 @@ class Scenario:
         aff = np.asarray(self.affinity, dtype=float)
         if aff.shape != (n_c, n_c):
             raise ScenarioError(f"affinity must have shape ({n_c}, {n_c})")
+        off_diag = aff.copy()
+        np.fill_diagonal(off_diag, 0.0)
+        # partners are drawn from each row's cumulative sums over its total
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(aff).all() and np.isfinite(off_diag.sum(axis=1)).all()
+        if not finite:
+            raise ScenarioError("affinity entries and row sums must be finite")
         if (aff < 0).any():
             raise ScenarioError("affinity must be non-negative")
         if not np.allclose(aff, aff.T, atol=1e-9):
             raise ScenarioError("affinity must be symmetric")
 
-        off_diag = aff.copy()
-        np.fill_diagonal(off_diag, 0.0)
         positive_partners = (off_diag > 0).sum(axis=1)
         if p_birc > 0:
             if n_c < 2:
@@ -327,28 +336,158 @@ class Scenario:
                                 f"[0, {_MAX_PUBS_PER_COUNTRY_YEAR}]")
 
 
-def _draw(cdf: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return min(idx, len(cdf) - 1)
+# Rows are held back until the multilateral sets among them are drawn, a
+# batch together, one member per step. A country-year's records are drawn
+# in chunks of at most this many, and a batch closes once it holds this
+# many records, so fewer than twice this many rows are held back; a batch
+# draws at most this many sets at once, which bounds its weight matrix
+# (sets x countries).
+SYNTH_BATCH = 1024
+
+_RECORD_ID = "pub%08d"
 
 
-def generate(scenario: Scenario) -> Iterator[PublicationRecord]:
-    """Yield the scenario's records in their canonical order.
+def _scalar_draws(rng, kinds: np.ndarray, mirc_cdf: np.ndarray,
+                  mirc_sizes: list[int], mean_extra: float):
+    """The uniforms that one country-year's drawing records (``kinds`` 1 or
+    2, in record order) take one at a time, as one block: one per bilateral
+    record (its partner) and, per multilateral record, one for its size k
+    and k - 1 for its members.
 
-    The stream is a pure function of the scenario: the same seed gives a
-    byte-identical serialized corpus. Changing only the drift parameters
-    preserves the draw sequence, so paired scenarios stay comparable.
+    The sizes are read from the block itself, so the block is drawn long
+    enough, then the generator is set back and advanced by exactly the
+    draws used. Returns the block, each record's first offset in it and
+    each multilateral record's size.
+    """
+    multi = np.flatnonzero(kinds == 2)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    block = rng.random(len(kinds) + math.ceil(len(multi) * mean_extra))
+    last = len(mirc_sizes) - 1
+    size_at = (np.minimum(mirc_cdf.searchsorted(block), last).tolist()
+               if len(multi) else [])
+    sizes = []
+    extra = 0
+    for j in multi.tolist():
+        while j + extra >= len(block):
+            more = rng.random(len(block))
+            block = np.concatenate((block, more))
+            size_at += np.minimum(mirc_cdf.searchsorted(more), last).tolist()
+        k = mirc_sizes[size_at[j + extra]]
+        sizes.append(k)
+        extra += k - 1
+    used = len(kinds) + extra
+    if used > len(block):
+        block = np.concatenate((block, rng.random(used - len(block))))
+    bitgen.state = state
+    bitgen.advance(used)
+    steps = np.ones(len(kinds), dtype=np.intp)
+    steps[multi] = sizes
+    return block[:used], np.cumsum(steps) - steps, steps[multi]
+
+
+def _partner_sets(weights: np.ndarray, draws: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """Draw the multilateral partners of a batch of records: row i takes
+    ``steps[i]`` members one at a time, each by affinity without
+    replacement, from ``weights[i]`` (its own copy of the anchor's affinity
+    row) with the uniforms ``draws[i]``. ``steps`` must be non-increasing,
+    so the rows still drawing are a prefix.
+
+    Per row these are the scalar rule's operations: sum, cumsum, divide,
+    then the left insertion point of the uniform in that CDF, clipped to
+    the last country. On a non-decreasing CDF without NaN that is the first
+    entry not below the uniform, or the last entry when all are below.
+    """
+    chosen = np.zeros(draws.shape, dtype=np.intp)
+    for step in range(draws.shape[1]):
+        active = np.count_nonzero(steps > step)
+        w = weights[:active]
+        cdf = np.cumsum(w, axis=1)
+        cdf /= w.sum(axis=1)[:, None]
+        below = cdf < draws[:active, step, None]
+        picks = below.argmin(axis=1)
+        picks[below[:, -1]] = w.shape[1] - 1
+        w[np.arange(active), picks] = 0.0
+        chosen[:active, step] = picks
+    return chosen
+
+
+class _PendingSets:
+    """Multilateral records whose member sets are still to be drawn, each
+    with the row-list slot its set goes into."""
+
+    def __init__(self, affinity: np.ndarray):
+        self.affinity = affinity
+        self.clear()
+
+    def clear(self) -> None:
+        self.slots: list[tuple[list, int]] = []
+        self.anchors: list[int] = []
+        self.blocks: list[np.ndarray] = []
+        self.starts: list[np.ndarray] = []
+        self.sizes: list[np.ndarray] = []
+        self.n_drawn = 0
+
+    def add(self, row_list: list, rows: list[int], anchor: int,
+            block: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> None:
+        """Queue the records ``rows`` of ``row_list``, anchored at
+        ``anchor``, whose members take ``block[first + 1:first + size]``."""
+        self.slots += [(row_list, r) for r in rows]
+        self.anchors += [anchor] * len(rows)
+        self.starts.append(first + 1 + self.n_drawn)
+        self.sizes.append(sizes)
+        self.blocks.append(block)
+        self.n_drawn += len(block)
+
+    def resolve(self) -> None:
+        """Put each record's member indices, its anchor first and then the
+        partners in draw order, into its slot."""
+        if not self.slots:
+            return
+        anchors = np.array(self.anchors, dtype=np.intp)
+        starts = np.concatenate(self.starts)
+        steps = np.concatenate(self.sizes) - 1
+        block = np.concatenate(self.blocks)
+        for lo in range(0, len(anchors), SYNTH_BATCH):
+            part = slice(lo, lo + SYNTH_BATCH)
+            order = np.argsort(-steps[part])
+            part_steps = steps[part][order]
+            # a row's draws past its own steps are never read
+            at = starts[part][order, None] + np.arange(part_steps[0])
+            chosen = _partner_sets(self.affinity[anchors[part][order]],
+                                   block[np.minimum(at, len(block) - 1)],
+                                   part_steps)
+            for i, row, n in zip((order + lo).tolist(), chosen.tolist(),
+                                 part_steps.tolist()):
+                row_list, r = self.slots[i]
+                row_list[r] = (self.anchors[i], *row[:n])
+        self.clear()
+
+
+def _rows(scenario: Scenario) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Draw the scenario's records in their canonical order, each as
+    ``(year, subject_index, member_indices)``; the member indices point
+    into ``scenario.countries``, the anchor country first.
+
+    Each country-year takes the draws of the one-record-at-a-time rule in
+    the same order: a Poisson count, a block of type uniforms, a block of
+    subject uniforms, then per record one uniform for a bilateral partner,
+    or one for a multilateral size and one per further member. Those last
+    come as one block per chunk of up to ``SYNTH_BATCH`` records
+    (:func:`_scalar_draws`); bilateral partners are found by one search and
+    multilateral sets are drawn for up to ``SYNTH_BATCH`` records together
+    (:func:`_partner_sets`).
     """
     scenario.validate()
     rng = np.random.default_rng([scenario.seed, 1])
 
-    countries = scenario.countries
-    subjects = scenario.subjects
-    n_s = len(subjects)
+    n_c = len(scenario.countries)
+    n_s = len(scenario.subjects)
     base = np.asarray(scenario.base_topic, dtype=float)
     agenda = np.asarray(scenario.global_agenda, dtype=float)
 
-    p_dom, p_birc, _ = scenario.type_mix
+    p_dom, p_birc, p_mirc = scenario.type_mix
     type_cdf = np.array([p_dom, p_dom + p_birc])
 
     # per-type subject mixtures, one CDF row per country
@@ -361,53 +500,85 @@ def generate(scenario: Scenario) -> Iterator[PublicationRecord]:
     np.fill_diagonal(affinity, 0.0)
     row_sums = affinity.sum(axis=1)
     partner_cdfs = [np.cumsum(affinity[i]) / row_sums[i] if row_sums[i] > 0
-                    else None for i in range(len(countries))]
+                    else None for i in range(n_c)]
 
     mirc_sizes = sorted(scenario.mirc_size)
     mirc_cdf = np.cumsum([scenario.mirc_size[k] for k in mirc_sizes])
+    # further members expected per multilateral record, which sizes the
+    # block of scalar draws; validate checks the weights only when p_mirc > 0
+    mean_extra = (sum(w * (k - 1) for k, w in scenario.mirc_size.items())
+                  if p_mirc > 0 else 0.0)
+
+    sets = _PendingSets(affinity)
+    pending: list = []
+
+    def flush():
+        sets.resolve()
+        for year, subject_list, member_list in pending:
+            yield from zip(repeat(year), subject_list, member_list)
+        pending.clear()
 
     first_year, last_year = scenario.years
     lam = scenario.pubs_per_country_year
-    counter = 0
-
-    for ci, country in enumerate(countries):
+    n_pending = 0
+    for ci in range(n_c):
+        domestic = (ci,)
+        pairs = [(ci, pj) for pj in range(n_c)]
+        cdfs = [cdf[ci] for cdf in subject_cdfs]
         for year in range(first_year, last_year + 1):
             n = int(rng.poisson(lam))
             if n == 0:
                 continue
             u_type = rng.random(n)
             u_subj = rng.random(n)
-            types = np.searchsorted(type_cdf, u_type, side="right")
-            subject_idx = np.empty(n, dtype=np.intp)
-            for t in (0, 1, 2):
-                mask = types == t
-                if mask.any():
-                    subject_idx[mask] = np.searchsorted(
-                        subject_cdfs[t][ci], u_subj[mask], side="left")
-            np.clip(subject_idx, 0, n_s - 1, out=subject_idx)
+            all_kinds = type_cdf.searchsorted(u_type, side="right")
 
-            for i in range(n):
-                counter += 1
-                subject = subjects[subject_idx[i]]
-                t = types[i]
-                if t == 0:
-                    members = frozenset((country,))
-                elif t == 1:
-                    pj = _draw(partner_cdfs[ci], rng.random())
-                    members = frozenset((country, countries[pj]))
-                else:
-                    k = mirc_sizes[_draw(mirc_cdf, rng.random())]
-                    weights = affinity[ci].copy()
-                    chosen = [country]
-                    for _ in range(k - 1):
-                        total = weights.sum()
-                        cdf = np.cumsum(weights) / total
-                        pj = _draw(cdf, rng.random())
-                        chosen.append(countries[pj])
-                        weights[pj] = 0.0
-                    members = frozenset(chosen)
-                yield PublicationRecord(f"pub{counter:08d}", year,
-                                        frozenset((subject,)), members)
+            for lo in range(0, n, SYNTH_BATCH):
+                kinds = all_kinds[lo:lo + SYNTH_BATCH]
+                u = u_subj[lo:lo + SYNTH_BATCH]
+                subject_idx = np.choose(kinds, [cdf.searchsorted(u)
+                                                for cdf in cdfs])
+                np.minimum(subject_idx, n_s - 1, out=subject_idx)
+                members = [domestic] * len(kinds)
+                drawing = np.flatnonzero(kinds)
+                if len(drawing):
+                    block, first, sizes = _scalar_draws(
+                        rng, kinds[drawing], mirc_cdf, mirc_sizes, mean_extra)
+                    bilateral = kinds[drawing] == 1
+                    if bilateral.any():
+                        partners = partner_cdfs[ci].searchsorted(
+                            block[first[bilateral]])
+                        np.minimum(partners, n_c - 1, out=partners)
+                        for r, pj in zip(drawing[bilateral].tolist(),
+                                         partners.tolist()):
+                            members[r] = pairs[pj]
+                    if len(sizes):
+                        multi = ~bilateral
+                        sets.add(members, drawing[multi].tolist(), ci, block,
+                                 first[multi], sizes)
+                pending.append((year, subject_idx.tolist(), members))
+                n_pending += len(kinds)
+                if n_pending >= SYNTH_BATCH:
+                    yield from flush()
+                    n_pending = 0
+    yield from flush()
+
+
+def generate(scenario: Scenario) -> Iterator[PublicationRecord]:
+    """Yield the scenario's records in their canonical order.
+
+    The stream is a pure function of the scenario: the same seed gives a
+    byte-identical serialized corpus. Changing only the drift parameters
+    preserves the draw sequence, so paired scenarios stay comparable.
+    """
+    subjects = [frozenset((s,)) for s in scenario.subjects]
+    countries = scenario.countries
+    alone = [frozenset((c,)) for c in countries]
+    for counter, (year, s, members) in enumerate(_rows(scenario), 1):
+        yield PublicationRecord(
+            _RECORD_ID % counter, year, subjects[s],
+            alone[members[0]] if len(members) == 1
+            else frozenset([countries[m] for m in members]))
 
 
 def write_jsonl(records: Iterable[PublicationRecord], fh) -> int:

@@ -4,10 +4,13 @@ Everything here deliberately avoids the library's own code paths: plain
 dicts, plain math, single pass. Keep it dumb.
 """
 
+import json
 import math
 import random
 import string
 from collections import defaultdict
+
+import numpy as np
 
 from collabsim.corpus import PublicationRecord
 
@@ -126,3 +129,90 @@ def random_records(rng: random.Random, n, n_countries=10, n_subjects=8,
             f"r{i}", rng.randint(years[0], years[1]),
             frozenset(ss), frozenset(cs)))
     return records
+
+
+def line_reference(record):
+    """The canonical corpus line of a record, as json.dumps writes it."""
+    return json.dumps({"id": record.id, "year": record.year,
+                       "subjects": sorted(record.subjects),
+                       "countries": sorted(record.countries)},
+                      separators=(",", ":"))
+
+
+def _draw(cdf, u):
+    idx = int(np.searchsorted(cdf, u, side="left"))
+    return min(idx, len(cdf) - 1)
+
+
+def generate_reference(scenario):
+    """The scalar synthetic generator, one record and one member at a time:
+    the reference whose corpus bytes ``synthgen.generate`` must reproduce."""
+    scenario.validate()
+    rng = np.random.default_rng([scenario.seed, 1])
+
+    countries = scenario.countries
+    subjects = scenario.subjects
+    n_s = len(subjects)
+    base = np.asarray(scenario.base_topic, dtype=float)
+    agenda = np.asarray(scenario.global_agenda, dtype=float)
+
+    p_dom, p_birc, _ = scenario.type_mix
+    type_cdf = np.array([p_dom, p_dom + p_birc])
+
+    # per-type subject mixtures, one CDF row per country
+    mixtures = (base,
+                (1.0 - scenario.drift_birc) * base + scenario.drift_birc * agenda,
+                (1.0 - scenario.drift_mirc) * base + scenario.drift_mirc * agenda)
+    subject_cdfs = [np.cumsum(m, axis=1) for m in mixtures]
+
+    affinity = np.asarray(scenario.affinity, dtype=float).copy()
+    np.fill_diagonal(affinity, 0.0)
+    row_sums = affinity.sum(axis=1)
+    partner_cdfs = [np.cumsum(affinity[i]) / row_sums[i] if row_sums[i] > 0
+                    else None for i in range(len(countries))]
+
+    mirc_sizes = sorted(scenario.mirc_size)
+    mirc_cdf = np.cumsum([scenario.mirc_size[k] for k in mirc_sizes])
+
+    first_year, last_year = scenario.years
+    lam = scenario.pubs_per_country_year
+    counter = 0
+
+    for ci, country in enumerate(countries):
+        for year in range(first_year, last_year + 1):
+            n = int(rng.poisson(lam))
+            if n == 0:
+                continue
+            u_type = rng.random(n)
+            u_subj = rng.random(n)
+            types = np.searchsorted(type_cdf, u_type, side="right")
+            subject_idx = np.empty(n, dtype=np.intp)
+            for t in (0, 1, 2):
+                mask = types == t
+                if mask.any():
+                    subject_idx[mask] = np.searchsorted(
+                        subject_cdfs[t][ci], u_subj[mask], side="left")
+            np.clip(subject_idx, 0, n_s - 1, out=subject_idx)
+
+            for i in range(n):
+                counter += 1
+                subject = subjects[subject_idx[i]]
+                t = types[i]
+                if t == 0:
+                    members = frozenset((country,))
+                elif t == 1:
+                    pj = _draw(partner_cdfs[ci], rng.random())
+                    members = frozenset((country, countries[pj]))
+                else:
+                    k = mirc_sizes[_draw(mirc_cdf, rng.random())]
+                    weights = affinity[ci].copy()
+                    chosen = [country]
+                    for _ in range(k - 1):
+                        total = weights.sum()
+                        cdf = np.cumsum(weights) / total
+                        pj = _draw(cdf, rng.random())
+                        chosen.append(countries[pj])
+                        weights[pj] = 0.0
+                    members = frozenset(chosen)
+                yield PublicationRecord(f"pub{counter:08d}", year,
+                                        frozenset((subject,)), members)

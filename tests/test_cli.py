@@ -365,7 +365,12 @@ def test_synth_invalid_scenario_exits_2(tmp_path, capsys):
                  {"seed": 2, "n_countries": 3, "n_subjects": 5,
                   "pubs_per_country_year": 5, "years": [1890, 1891]},
                  {"seed": 1, "n_subjects": 10_001},
-                 {"seed": 1, "n_countries": -1}):
+                 {"seed": 1, "n_countries": -1},
+                 {"seed": 1, "n_countries": 3, "mirc_size": {"3": 1},
+                  "affinity": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]},
+                 {"seed": 1, "n_countries": 3, "mirc_size": {"3": 1},
+                  "affinity": [[0, 1e308, 1e308], [1e308, 0, 1e308],
+                               [1e308, 1e308, 0]]}):
         scenario.write_bytes(spec if isinstance(spec, bytes)
                              else json.dumps(spec).encode())
         assert _run(["synth", "--scenario", scenario, "--out", corpus]) == 2

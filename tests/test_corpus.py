@@ -28,7 +28,7 @@ from collabsim.corpus import (
     validate_corpus,
 )
 from collabsim.reporting import RunConfig, run_pipeline
-from oracle import random_records, recount, recount_regions
+from oracle import line_reference, random_records, recount, recount_regions
 
 HUGE_INT = "1" * 5000  # past CPython's int-string digit limit
 
@@ -203,6 +203,29 @@ def test_normalize_idempotent(code):
 def test_record_round_trip():
     rec = parse_record('{"id":"p","year":2012,"subjects":["B","A"],"countries":["es","NL"]}')
     assert parse_record(record_to_line(rec)) == rec
+
+
+class _Code(str):
+    pass
+
+
+@pytest.mark.parametrize("rec", [
+    PublicationRecord("p1", 2012, frozenset({"B", "A"}), frozenset({"NL", "ES"})),
+    PublicationRecord('q"\\é\ud800😀', 1900, frozenset({'b"', "a\\", "é", "\x7f\n"}),
+                      frozenset()),
+    PublicationRecord(_Code("p2"), 2012, frozenset({_Code("S")}), frozenset({"NL"})),
+    PublicationRecord("p3", True, frozenset({"S"}), frozenset({"NL"})),
+    PublicationRecord("p4", 2010.0, frozenset({"S"}), frozenset({"NL"})),
+    PublicationRecord("p5", None, frozenset({"S"}), frozenset({"NL"})),
+    PublicationRecord(7, 2010, frozenset({"S"}), frozenset({"NL"})),
+    PublicationRecord("p6", 2010, frozenset({3, 1}), frozenset({"NL"})),
+    PublicationRecord("p7", 2010, frozenset({"S"}), (None,)),
+    PublicationRecord("p8", 10**30, ["S", "A"], ("NL", "ES")),
+])
+def test_record_to_line_is_json_dumps(rec):
+    """The escaped-string line (str id and codes, an int year) and the
+    json.dumps fallback (anything else) both give json.dumps's bytes."""
+    assert record_to_line(rec) == line_reference(rec)
 
 
 # --- region map ---------------------------------------------------------

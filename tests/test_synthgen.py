@@ -183,6 +183,11 @@ def test_scenario_rejects_oversized_mirc_sets():
     ({"years": [2090, 2101]}, "years"),
     ({"n_subjects": 10_001}, "subjects"),
     ({"subjects": [f"S{i}" for i in range(10_001)]}, "subjects"),
+    ({"n_countries": 3, "mirc_size": {"3": 1},
+      "affinity": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}, "affinity"),
+    ({"n_countries": 3, "mirc_size": {"3": 1},
+      "affinity": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]},
+     "affinity"),
 ])
 def test_scenario_rejects_wrong_types(overrides, named):
     with pytest.raises(ScenarioError, match=named):
