@@ -11,13 +11,18 @@ any free-text -> code resolution happens upstream of this module.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import os
+import pickle
+import signal
+import stat
 import string
 from dataclasses import dataclass, fields, replace
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +59,21 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 class CorpusError(Exception):
-    """A corpus defect escalated by a fail-fast validation policy."""
+    """A corpus defect escalated by a fail-fast validation policy.
+
+    ``line_no`` is the 1-based line of the defect, None when no line
+    applies, and ``message`` the text after the ``line N: `` prefix, so
+    that a worker's local line number can be made global.
+    """
+
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message, line_no)
+        self.message, self.line_no = message, line_no
+
+    def __str__(self) -> str:
+        if self.line_no is None:
+            return self.message
+        return f"line {self.line_no}: {self.message}"
 
 
 class RegionMapError(Exception):
@@ -66,6 +85,7 @@ class RecordError(ValueError):
 
     def __init__(self, message: str, line_no: int | None = None,
                  category: str = MALFORMED):
+        self.message = message
         self.line_no = line_no
         self.category = category
         prefix = f"line {line_no}: " if line_no is not None else ""
@@ -87,11 +107,47 @@ class PublicationRecord:
     countries: frozenset[str]
 
 
-def open_corpus(path):
-    """Open a corpus for reading lines: a leading BOM is dropped and each
-    byte that is not UTF-8 becomes a lone surrogate, so that
-    :func:`parse_record` counts its line as malformed instead of raising."""
-    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+class _ByteRange(io.RawIOBase):
+    """Raw reader of at most ``limit`` bytes (None: all) of an open binary
+    file from its current position; ``sha``, a hashlib object, is updated
+    with every byte read."""
+
+    def __init__(self, raw, limit: int | None, sha=None):
+        self._raw, self._left, self._sha = raw, limit, sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view, view[:self._left] as part:
+            n = self._raw.readinto(part)
+            if self._sha is not None:
+                self._sha.update(part[:n])
+        if self._left is not None:
+            self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
+    """Open a corpus, or its bytes ``[start, end)`` (``end`` None: to the
+    end), for reading lines.
+
+    Lines end at LF, CR LF or a lone CR; a BOM is dropped at offset 0 only, and each byte that is not UTF-8 becomes a lone surrogate,
+    so that :func:`parse_record` counts its line as malformed instead of
+    raising. ``sha``, a hashlib object, is updated with every byte read.
+    """
+    raw = open(path, "rb", buffering=0)
+    if start:
+        raw.seek(start)
+    if end is not None or sha is not None:
+        raw = _ByteRange(raw, None if end is None else end - start, sha)
+    return io.TextIOWrapper(io.BufferedReader(raw),
+                            encoding="utf-8-sig" if start == 0 else "utf-8",
+                            errors="surrogateescape")
 
 
 def _utf8_ok(text: str) -> bool:
@@ -367,24 +423,22 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
                 record = _parse_checked(line, line_no)
             except RecordError as exc:
                 if getattr(policy, exc.category) == FAIL:
-                    raise CorpusError(str(exc)) from exc
+                    raise CorpusError(exc.message, line_no) from exc
                 name = _SKIPPED_FIELD[exc.category]
                 setattr(stats, name, getattr(stats, name) + 1)
                 continue
             row = record.id, record.year, record.subjects, record.countries
         year = row[1]
         if not lo <= year <= hi:
-            message = (f"line {line_no}: year {year} outside accepted "
-                       f"window {lo}-{hi}")
             if policy.malformed == FAIL:
-                raise CorpusError(message)
+                raise CorpusError(f"year {year} outside accepted window "
+                                  f"{lo}-{hi}", line_no)
             stats.skipped_malformed += 1
             continue
         if mapped is not None and not row[3] <= mapped:
             if policy.unmapped_country == FAIL:
                 unmapped = sorted(row[3] - mapped)
-                raise CorpusError(
-                    f"line {line_no}: unmapped countries {unmapped}")
+                raise CorpusError(f"unmapped countries {unmapped}", line_no)
             stats.skipped_unmapped_country += 1
             continue
         stats.accepted += 1
@@ -420,6 +474,148 @@ def validate_corpus(lines: Iterable[str],
     return stats
 
 
+# A corpus file is folded in newline-aligned byte ranges of at least
+# SHARD_MIN_BYTES, one per worker process and at most SHARD_WORKERS of them:
+# the cores this process may run on, up to 4. Smaller ranges do not pay for
+# the fork and the merge: a 1.9 MB corpus ran slower in two ranges than in
+# one.
+SHARD_MIN_BYTES = 1 << 20
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+SHARD_WORKERS = min(_cores(), 4)
+
+
+def _line_start(fh, pos: int) -> int:
+    """The offset just after the first newline byte at or after ``pos`` in
+    the binary file ``fh``, or the end of the file."""
+    fh.seek(pos)
+    while chunk := fh.read(1 << 16):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return pos
+
+
+def _byte_ranges(path) -> list[tuple[int, int | None]]:
+    """``(start, end)`` byte ranges covering the corpus at ``path``, each
+    cut just after an LF byte, so that no CR LF pair and no UTF-8 sequence
+    is split; the last one runs to the end (``end`` None). A stream, a
+    small file or a platform without ``fork`` is one range."""
+    try:
+        info = os.stat(path)
+    except OSError:  # opening the corpus reports it
+        return [(0, None)]
+    n = min(SHARD_WORKERS, info.st_size // SHARD_MIN_BYTES)
+    if n < 2 or not stat.S_ISREG(info.st_mode) or not hasattr(os, "fork"):
+        return [(0, None)]
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, n):
+            cut = _line_start(fh, info.st_size * i // n)
+            if cuts[-1] < cut < info.st_size:
+                cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _fold_range(path, start: int, end: int | None, fold: Callable,
+                region_map, policy, sha=None) -> tuple[CorpusStats, object]:
+    stats = CorpusStats()
+    with open_corpus(path, start, end, sha) as lines:
+        result = fold(_accepted(lines, region_map, policy, stats))
+    return stats, result
+
+
+def _work(fd: int, *job) -> None:
+    """A forked worker: fold one range, write the pickled outcome to the
+    pipe ``fd`` and exit; it never returns into the caller's code."""
+    status = 1
+    try:
+        try:
+            outcome = True, _fold_range(*job)
+        except BaseException as exc:  # the parent raises it
+            outcome = False, exc
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
+                region_map: "RegionMap | None" = None,
+                policy: ValidationPolicy | None = None,
+                sha=None) -> tuple[CorpusStats, list]:
+    """Fold the accepted rows of the corpus file at ``path``.
+
+    The file is split into newline-aligned byte ranges (see
+    :data:`SHARD_MIN_BYTES`); ``fold`` consumes the ``(id, year, subjects,
+    countries)`` rows of one range and returns a picklable result. The
+    first range is folded in this process, every other one in a forked
+    worker. Returns the merged counters and the results in file order.
+
+    Errors keep the meaning of a one-range pass: line numbers are global,
+    a fail-fast run raises the error of the earliest failing line, and a
+    worker that raises or dies without a result fails the run; the other
+    workers are then killed. Every worker is reaped before this returns.
+    With ``sha``, a hashlib object, the corpus is read as one range and
+    ``sha`` is updated with every byte read: a stream cannot be read again
+    to digest it.
+    """
+    ranges = [(0, None)] if sha is not None else _byte_ranges(path)
+    workers = []  # (pid, pipe) of each worker not yet reaped, in file order
+    try:
+        for start, end in ranges[1:]:
+            read_end, write_end = os.pipe()
+            pipe = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write_end, path, start, end, fold, region_map,
+                          policy)
+            except OSError:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_end)
+            workers.append((pid, pipe))
+        stats, result = _fold_range(path, *ranges[0], fold, region_map,
+                                    policy, sha)
+        results = [result]
+        for start, end in ranges[1:]:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status:
+                raise ChildProcessError(
+                    f"corpus worker for bytes {start}-{end} exited with "
+                    f"status {os.waitstatus_to_exitcode(status)}")
+            done, outcome = pickle.loads(data)
+            if not done:
+                if (isinstance(outcome, CorpusError)
+                        and outcome.line_no is not None):
+                    outcome.line_no += stats.total_lines
+                raise outcome
+            range_stats, result = outcome
+            stats += range_stats
+            results.append(result)
+        return stats, results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 @dataclass(frozen=True)
 class RegionMap:
     """Country code -> region name, loaded from a two-column CSV."""
@@ -448,42 +644,47 @@ def region_of(region_map: RegionMap | None, country: str) -> str:
     return region_map.region_of(country, UNKNOWN_REGION)
 
 
-def load_region_map(path) -> RegionMap:
+def load_region_map(path, sha=None) -> RegionMap:
     """Load a ``country,region`` CSV into a :class:`RegionMap`.
 
     Repeated rows with the same region are tolerated; the same country code
     mapped to two different regions is an error. An empty file yields an
-    empty map with a warning.
+    empty map with a warning. The file is read once and parsed from the
+    bytes read; ``sha``, a hashlib object, is updated with them.
     """
     entries: dict[str, str] = {}
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                log.warning("region map %s is empty", path)
-                return RegionMap({})
-            if [cell.strip().lower() for cell in header[:2]] != ["country", "region"]:
-                raise RegionMapError(
-                    f"{path}: expected header 'country,region', got {header!r}")
-            for row_no, row in enumerate(reader, start=2):
-                if not row or not any(cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    raise RegionMapError(f"{path}:{row_no}: expected 2 columns")
-                code = normalize_country(row[0])
-                region = row[1].strip()
-                if code not in _CANONICAL_CODES:
-                    raise RegionMapError(
-                        f"{path}:{row_no}: invalid country code {row[0]!r}")
-                if not region:
-                    raise RegionMapError(f"{path}:{row_no}: empty region name")
-                if code in entries and entries[code] != region:
-                    raise RegionMapError(
-                        f"{path}:{row_no}: conflicting region for {code}")
-                entries[code] = region
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise RegionMapError(f"cannot read region map {path}: {exc}") from exc
+    if sha is not None:
+        sha.update(data)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        log.warning("region map %s is empty", path)
+        return RegionMap({})
+    if [cell.strip().lower() for cell in header[:2]] != ["country", "region"]:
+        raise RegionMapError(
+            f"{path}: expected header 'country,region', got {header!r}")
+    for row_no, row in enumerate(reader, start=2):
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        if len(row) < 2:
+            raise RegionMapError(f"{path}:{row_no}: expected 2 columns")
+        code = normalize_country(row[0])
+        region = row[1].strip()
+        if code not in _CANONICAL_CODES:
+            raise RegionMapError(
+                f"{path}:{row_no}: invalid country code {row[0]!r}")
+        if not region:
+            raise RegionMapError(f"{path}:{row_no}: empty region name")
+        if code in entries and entries[code] != region:
+            raise RegionMapError(
+                f"{path}:{row_no}: conflicting region for {code}")
+        entries[code] = region
     if not entries:
         log.warning("region map %s has no entries", path)
     return RegionMap(entries)

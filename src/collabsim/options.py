@@ -16,9 +16,8 @@ from .corpus import (
     SKIP,
     UNMAPPED_ACTIONS,
     ValidationPolicy,
+    fold_corpus,
     load_region_map,
-    open_corpus,
-    validate_corpus,
 )
 
 CAGR = "cagr"
@@ -93,12 +92,17 @@ class RunConfig:
         return public
 
 
+def _drain(rows) -> None:
+    """The fold of ``validate``, which keeps only the counters."""
+    for _ in rows:
+        pass
+
+
 def run_validate(cfg: RunConfig, stream=None) -> int:
     """Validate the corpus and print the counters as one JSON line."""
     cfg.validate()
     region_map = load_region_map(cfg.regions) if cfg.regions else None
-    with open_corpus(cfg.input) as fh:
-        stats = validate_corpus(fh, region_map, cfg.policy())
+    stats, _ = fold_corpus(cfg.input, _drain, region_map, cfg.policy())
     out = stream if stream is not None else sys.stdout
     json.dump(stats.as_dict(), out)
     out.write("\n")

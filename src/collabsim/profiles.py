@@ -210,6 +210,13 @@ def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grown
 
 
+def _remap(ids: _Ids, codes: _Ids) -> np.ndarray:
+    """The ids in ``ids`` of the codes of ``codes``, in ``codes``' id order;
+    codes new to ``ids`` are interned."""
+    return np.fromiter(map(ids.__getitem__, codes), dtype=np.intp,
+                       count=len(codes))
+
+
 def _profile(namespace: str, row: np.ndarray, names: list[str]) -> Profile:
     nonzero = np.flatnonzero(row)
     return Profile(namespace, dict(zip([names[j] for j in nonzero.tolist()],
@@ -276,9 +283,9 @@ class ProfileFold:
         if self._pending >= FLUSH_PAIRS:
             self._flush()
 
-    def _flush(self) -> None:
-        if not self._k:
-            return
+    def _grow(self) -> None:
+        """Place every interned country in its region and size the count
+        arrays to the interned codes."""
         n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
         for country in list(self._countries)[len(self._region_of):]:
             self._region_of.append(
@@ -288,6 +295,13 @@ class ProfileFold:
         self._partner = _grown(self._partner, (4, n_c, n_c))
         self._pubs = _grown(self._pubs, (n_c, 4))
         self._region_years = _grown(self._region_years, (n_r, 4, n_y))
+
+    def _flush(self) -> None:
+        if not self._k:
+            return
+        self._grow()
+        n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
+        n_r = len(self._regions)
 
         c = np.frombuffer(self._c, dtype=np.intc).astype(np.intp)
         s = np.frombuffer(self._s, dtype=np.intc).astype(np.intp)
@@ -313,6 +327,31 @@ class ProfileFold:
             distinct = np.unique(rec * n_r + region)
             rec, region = distinct // n_r, distinct % n_r
         _scatter_add(self._region_years, (region * 4 + kind[rec]) * n_y + year[rec])
+
+    def merge(self, other: "ProfileFold") -> "ProfileFold":
+        """Add the counts of ``other``, a fold with the same settings, into
+        this one and return it.
+
+        ``other``'s country, subject, year and region codes are interned
+        here and its arrays added at the remapped ids, so folds of a
+        partitioned corpus merge to the fold of the whole, in any grouping.
+        """
+        if ((other.mega_threshold, other.region_counting, other.region_map)
+                != (self.mega_threshold, self.region_counting, self.region_map)):
+            raise ValueError("cannot merge folds with different settings")
+        self._flush()
+        other._flush()
+        c = _remap(self._countries, other._countries)
+        s = _remap(self._subjects, other._subjects)
+        y = _remap(self._years, other._years)
+        self._grow()
+        r = _remap(self._regions, other._regions)
+        kinds = np.arange(4)
+        self._disc[np.ix_(kinds, c, s)] += other._disc
+        self._partner[np.ix_(kinds, c, c)] += other._partner
+        self._pubs[c] += other._pubs
+        self._region_years[np.ix_(r, kinds, y)] += other._region_years
+        return self
 
     def table(self) -> dict[str, CountryProfileSet]:
         """The per-country profile sets of every record folded so far."""

@@ -13,8 +13,9 @@ import hashlib
 import io
 import json
 import os
+import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,7 @@ from .aggregates import (
     scatter_dataset,
     threshold_flags,
 )
-from .corpus import CorpusStats, RegionMap, _accepted, load_region_map, open_corpus
+from .corpus import CorpusStats, RegionMap, fold_corpus, load_region_map
 from .options import RunConfig, UsageError, run_validate  # noqa: F401 (re-export)
 from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
@@ -71,28 +72,55 @@ class PipelineResult:
     region_counts: RegionYearCounts
     reports: list[CountrySimilarityReport]
     baseline: WorldBaseline
+    # sha256 of each input ("corpus", "regions") read from a stream, which
+    # cannot be read again to digest it
+    streamed_sha256: dict[str, str] = field(default_factory=dict)
+
+
+def _stream_sha(path):
+    """A sha256 object to update while ``path`` is read when it is not a
+    regular file, else None."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # reading it reports the error
+        regular = True
+    return None if regular else hashlib.sha256()
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Stream the corpus once: validate and fold the profiles and region
-    counts, then derive the similarity reports and world baseline."""
-    region_map = load_region_map(cfg.regions)
-    stats = CorpusStats()
-    fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
-    add, year_min, year_max = fold.add_codes, cfg.year_min, cfg.year_max
-    n_year_filtered = 0
-    with open_corpus(cfg.input) as fh:
-        for _, year, subjects, countries in _accepted(fh, region_map,
-                                                      cfg.policy(), stats):
+    counts, then derive the similarity reports and world baseline.
+
+    The corpus is folded in byte ranges, in parallel where it is large
+    enough (:func:`~collabsim.corpus.fold_corpus`), and the range folds
+    merged in file order."""
+    shas = {"corpus": _stream_sha(cfg.input), "regions": _stream_sha(cfg.regions)}
+    region_map = load_region_map(cfg.regions, shas["regions"])
+
+    def fold_range(rows):
+        fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
+        add, year_min, year_max = fold.add_codes, cfg.year_min, cfg.year_max
+        n_year_filtered = 0
+        for _, year, subjects, countries in rows:
             if year_min <= year <= year_max:
                 add(year, countries, subjects)
             else:
                 n_year_filtered += 1
+        return fold, n_year_filtered
+
+    stats, parts = fold_corpus(cfg.input, fold_range, region_map, cfg.policy(),
+                               shas["corpus"])
+    fold, n_year_filtered = parts[0]
+    for other, n in parts[1:]:
+        fold.merge(other)
+        n_year_filtered += n
     table, region_counts = fold.table(), fold.region_counts()
     reports = [five_indicators(table[c], region_map) for c in sorted(table)]
     baseline = world_baseline(reports, cfg.min_pubs)
     return PipelineResult(region_map, stats, n_year_filtered, table,
-                          region_counts, reports, baseline)
+                          region_counts, reports, baseline,
+                          {name: sha.hexdigest() for name, sha in shas.items()
+                           if sha is not None})
 
 
 def _fmt(value) -> str:
@@ -169,12 +197,16 @@ class OutputStager:
         self._staged = []
 
 
-def _digest(path: Path) -> dict:
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            sha.update(chunk)
-    return {"path": str(path), "sha256": sha.hexdigest()}
+def _digest(path: Path, sha256: str | None = None) -> dict:
+    """The path and sha256 of an input: ``sha256`` when it was taken as the
+    input was read, else that of the file read now."""
+    if sha256 is None:
+        sha = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
+        sha256 = sha.hexdigest()
+    return {"path": str(path), "sha256": sha256}
 
 
 def countries_rows(reports, baseline):
@@ -262,7 +294,9 @@ def manifest_text(cfg: RunConfig, subcommand: str, result: PipelineResult,
         "version": __version__,
         "subcommand": subcommand,
         "config": cfg.public_dict(),
-        "inputs": {"corpus": _digest(cfg.input), "regions": _digest(cfg.regions)},
+        "inputs": {name: _digest(path, result.streamed_sha256.get(name))
+                   for name, path in (("corpus", cfg.input),
+                                      ("regions", cfg.regions))},
         "validation": result.stats.as_dict(),
         "n_year_filtered": result.n_year_filtered,
         "n_countries": len(result.table),

@@ -354,3 +354,55 @@ def test_dump_rows_sorted_and_complete():
     assert len(rows) == sum(len(p.counts) for ps in table.values()
                             for p in (*ps.disciplinary.values(),
                                       *ps.partner.values()))
+
+
+# --- ProfileFold.merge: the combiner of a sharded fold --------------------
+
+def _fold_of(records, mega_threshold, region_map, mode):
+    fold = ProfileFold(mega_threshold, region_map, mode)
+    for rec in records:
+        fold.add(rec)
+    return fold
+
+
+def _read(fold):
+    return fold.table(), fold.region_counts()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 400), st.integers(0, 400),
+       st.sampled_from([None, 3, 5]), st.sampled_from(["dedup", "country"]),
+       st.sampled_from([None, _PARTIAL_MAP]))
+def test_fold_merge_laws(seed, cut1, cut2, mega, mode, region_map):
+    """Folds of consecutive parts merge, in either grouping, to the fold of
+    the whole and to the oracle's recount; the empty fold is the identity."""
+    records = random_records(random.Random(seed), 400, n_countries=14,
+                             max_countries=8, max_subjects=4,
+                             years=(2005, 2020))
+    i, j = sorted((cut1, cut2))
+    parts = records[:i], records[i:j], records[j:]
+
+    def folds():
+        return [_fold_of(part, mega, region_map, mode) for part in parts]
+
+    a, b, c = folds()
+    left = _read(a.merge(b).merge(c))
+    a, b, c = folds()
+    assert _read(a.merge(b.merge(c))) == left
+    assert _read(_fold_of(records, mega, region_map, mode)) == left
+    empty = ProfileFold(mega, region_map, mode)
+    assert _read(empty.merge(_fold_of(records, mega, region_map, mode))) == left
+    whole = _fold_of(records, mega, region_map, mode)
+    assert _read(whole.merge(ProfileFold(mega, region_map, mode))) == left
+    _assert_matches_recount(left[0], recount(records, mega))
+    mapped = region_map.entries if region_map else {}
+    assert left[1].counts == recount_regions(
+        records, lambda code: mapped.get(code, "UNKNOWN"), mode == "country",
+        mega)
+
+
+def test_fold_merge_needs_the_same_settings():
+    for other in (ProfileFold(3), ProfileFold(region_map=_PARTIAL_MAP),
+                  ProfileFold(region_counting="country")):
+        with pytest.raises(ValueError, match="different settings"):
+            ProfileFold().merge(other)
