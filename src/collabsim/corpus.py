@@ -136,8 +136,9 @@ def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
     """Open a corpus, or its bytes ``[start, end)`` (``end`` None: to the
     end), for reading lines.
 
-    Lines end at LF, CR LF or a lone CR; a BOM is dropped at offset 0 only, and each byte that is not UTF-8 becomes a lone surrogate,
-    so that :func:`parse_record` counts its line as malformed instead of
+    Lines end at LF, CR LF or a lone CR; a BOM is dropped at offset 0
+    only, and each byte that is not UTF-8 becomes a lone surrogate, so
+    that :func:`parse_record` counts its line as malformed instead of
     raising. ``sha``, a hashlib object, is updated with every byte read.
     """
     raw = open(path, "rb", buffering=0)

@@ -38,7 +38,7 @@ from .similarity import (
     five_indicators,
     world_baseline,
 )
-from .synthgen import Scenario, generate, region_map_for, write_jsonl
+from .synthgen import Scenario, region_map_for, write_corpus
 
 FLOAT_FORMAT = "{:.6f}"
 
@@ -356,12 +356,14 @@ def run_synth(scenario_path, out_path, regions_out=None) -> int:
     """Generate a synthetic corpus (and optionally its region map); both
     files are committed together or not at all."""
     scenario = Scenario.load(scenario_path)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    for path in (out_path, regions_out):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     # the paths are relative to the working directory
     stager = OutputStager(Path.cwd())
     try:
         with stager.open(out_path) as fh:
-            write_jsonl(generate(scenario), fh)
+            write_corpus(scenario, fh)
         if regions_out is not None:
             region_map = region_map_for(scenario.countries)
             rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]

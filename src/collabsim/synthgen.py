@@ -16,7 +16,8 @@ corresponding domestic-vs-type similarity drops. Generation is fully
 determined by the scenario seed: the draws are those of a loop that takes
 one record, and one partner, at a time, but they are taken in blocks and
 the partner sets are built for a batch of records together (see
-:func:`_rows`), which :func:`generate` turns into records.
+:func:`_rows`), which :func:`generate` turns into records and
+:func:`write_corpus` into corpus lines.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import numpy as np
 
 from .corpus import (
     _CANONICAL_CODES,
+    _LINE,
     DEFAULT_YEAR_WINDOW,
     PublicationRecord,
     RegionMap,
+    _json_string,
     _utf8_ok,
     normalize_country,
     record_to_line,
@@ -346,6 +349,9 @@ SYNTH_BATCH = 1024
 
 _RECORD_ID = "pub%08d"
 
+# write_corpus joins and writes this many lines at a time
+WRITE_BLOCK = 4096
+
 
 def _scalar_draws(rng, kinds: np.ndarray, mirc_cdf: np.ndarray,
                   mirc_sizes: list[int], mean_extra: float):
@@ -588,6 +594,41 @@ def write_jsonl(records: Iterable[PublicationRecord], fh) -> int:
         fh.write(record_to_line(record))
         fh.write("\n")
         n += 1
+    return n
+
+
+def write_corpus(scenario: Scenario, fh) -> int:
+    """Write the scenario's corpus, the bytes of
+    ``write_jsonl(generate(scenario), fh)``, straight from the rows of
+    :func:`_rows`; returns the line count.
+
+    Each subject and country code is escaped once. A record's countries
+    field is a table entry for a domestic record, a cached entry per member
+    pair for a bilateral one, and the sorted codes of a multilateral set;
+    codes are two letters AA..ZZ, so their escaped forms sort like them.
+    """
+    line = _LINE + "\n"
+    record_id = _json_string(_RECORD_ID)
+    subjects = [_json_string(s) for s in scenario.subjects]
+    codes = [_json_string(c) for c in scenario.countries]
+    pairs: dict[tuple[int, int], str] = {}
+    lines: list[str] = []
+    n = 0
+    for n, (year, s, members) in enumerate(_rows(scenario), 1):
+        if len(members) == 1:
+            countries = codes[members[0]]
+        elif len(members) == 2:
+            countries = pairs.get(members)
+            if countries is None:
+                countries = pairs[members] = ",".join(
+                    sorted([codes[m] for m in members]))
+        else:
+            countries = ",".join(sorted([codes[m] for m in members]))
+        lines.append(line % (record_id % n, year, subjects[s], countries))
+        if len(lines) == WRITE_BLOCK:
+            fh.write("".join(lines))
+            lines.clear()
+    fh.write("".join(lines))
     return n
 
 

@@ -411,6 +411,21 @@ def test_synth_refuses_one_path_for_both_outputs(tmp_path, capsys):
     assert _tree(tmp_path) == ["scenario.json"]
 
 
+def test_synth_creates_the_parents_of_both_outputs(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "n_countries": 4,
+                                    "pubs_per_country_year": 3}))
+    corpus = tmp_path / "a" / "b" / "corpus.jsonl"
+    regions = tmp_path / "c" / "d" / "regions.csv"
+    assert _run(["synth", "--scenario", scenario, "--out", corpus,
+                 "--regions-out", regions]) == 0
+    assert capsys.readouterr().err == ""
+    assert corpus.read_text().count("\n") > 0
+    assert regions.read_text().startswith("country,region\n")
+    assert _tree(tmp_path) == ["a", "a/b", "a/b/corpus.jsonl", "c", "c/d",
+                               "c/d/regions.csv", "scenario.json"]
+
+
 def test_every_public_name_resolves():
     import collabsim
     from collabsim import classify

@@ -1,6 +1,7 @@
-"""The synthetic generator's byte contract: ``write_jsonl(generate(s))`` and
-the ``synth`` command write exactly the lines of the scalar reference
-generator in ``oracle.py``, for every valid (finite) scenario."""
+"""The synthetic generator's byte contract: ``write_jsonl(generate(s))``,
+``write_corpus(s)`` and the ``synth`` command write exactly the lines of the
+scalar reference generator in ``oracle.py``, for every valid (finite)
+scenario."""
 
 import io
 import json
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from collabsim import synthgen
 from collabsim.reporting import run_synth
-from collabsim.synthgen import Scenario, generate, write_jsonl
+from collabsim.corpus import record_to_line
+from collabsim.synthgen import Scenario, generate, write_corpus, write_jsonl
 
 from oracle import _draw, generate_reference, line_reference
 
@@ -107,6 +109,71 @@ def test_small_batches_write_the_reference_bytes(monkeypatch, batch):
     buf = io.StringIO()
     write_jsonl(generate(scenario), buf)
     assert buf.getvalue() == _reference_text(scenario)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_write_corpus_blocks_write_the_reference_bytes(monkeypatch, block):
+    """Blocks of one line, or of seven that leave a short last block, write
+    the reference bytes, and the count returned is the lines written."""
+    scenario = Scenario.from_dict({
+        "seed": 9, "n_countries": 12, "pubs_per_country_year": 30,
+        "years": [2010, 2011], "mirc_size": {"3": 0.5, "7": 0.3, "12": 0.2},
+        "type_mix": {"domestic": 0.2, "birc": 0.3, "mirc": 0.5},
+    })
+    monkeypatch.setattr(synthgen, "WRITE_BLOCK", block)
+    expected = _reference_text(scenario)
+    assert expected.count("\n") % 7
+    buf = io.StringIO()
+    assert write_corpus(scenario, buf) == expected.count("\n")
+    assert buf.getvalue() == expected
+
+
+def test_write_corpus_of_no_records(tmp_path):
+    spec = {"seed": 4, "n_countries": 5, "pubs_per_country_year": 0}
+    buf = io.StringIO()
+    assert write_corpus(Scenario.from_dict(spec), buf) == 0
+    assert buf.getvalue() == ""
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert run_synth(path, out) == 0
+    assert out.read_bytes() == b""
+
+
+# smoke-size copies of the three benchmark scenarios (bench/workloads.py)
+_BENCH_SMOKE = {
+    "bulk_report": {"n_countries": 25, "n_subjects": 50,
+                    "pubs_per_country_year": 8},
+    "consortia_report": {
+        "n_countries": 50, "n_subjects": 60, "pubs_per_country_year": 2,
+        "type_mix": {"domestic": 0.2, "birc": 0.3, "mirc": 0.5},
+        "mirc_size": {"3": 0.25, "4": 0.15, "5": 0.10, "6": 0.08, "8": 0.07,
+                      "10": 0.06, "12": 0.05, "15": 0.04, "20": 0.05,
+                      "25": 0.05, "30": 0.05, "40": 0.05}},
+    "dirty_validate": {"n_countries": 25, "n_subjects": 50,
+                       "pubs_per_country_year": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SMOKE))
+def test_write_corpus_matches_the_record_view(name):
+    """On the benchmark shapes, with explicit countries in no sorted order
+    and subjects that need escaping, the writer gives the bytes of the
+    records ``generate`` yields."""
+    spec = dict(_BENCH_SMOKE[name], seed=404, years=[2008, 2017])
+    n_c, n_s = spec.pop("n_countries"), spec.pop("n_subjects")
+    rng = np.random.default_rng(len(name))
+    spec["countries"] = [_CODES[i] for i in rng.permutation(len(_CODES))[:n_c]]
+    spec["subjects"] = [f"S{i}" + 'é"\\'[:i % 4] for i in range(n_s)]
+    scenario = Scenario.from_dict(spec)
+    assert list(scenario.countries) != sorted(scenario.countries)
+
+    expected = "".join(record_to_line(r) + "\n" for r in generate(scenario))
+    buf = io.StringIO()
+    assert write_corpus(scenario, buf) == expected.count("\n")
+    assert buf.getvalue() == expected
+    assert all(c in expected for c in ('\\u00e9', '\\"', "\\\\"))
 
 
 @pytest.mark.parametrize("mirc_size", [{"3": 1e308},
