@@ -85,7 +85,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 # The commands that fold profiles or generate corpora import numpy, through
-# reporting and synthgen, only when they run; validate needs neither.
+# reporting and synthgen, only when they run; validate needs neither, and
+# synth needs no profile, similarity or aggregate module.
 
 def _run_outputs(args: argparse.Namespace) -> int:
     from .reporting import run_outputs
@@ -93,8 +94,7 @@ def _run_outputs(args: argparse.Namespace) -> int:
 
 
 def _run_synth(args: argparse.Namespace) -> int:
-    from .reporting import run_synth
-    from .synthgen import ScenarioError
+    from .synthgen import ScenarioError, run_synth
     try:
         return run_synth(args.scenario, args.out, args.regions_out)
     except ScenarioError as exc:

@@ -6,6 +6,13 @@ Input corpora are UTF-8 files with one JSON object per line::
 
 Unknown extra fields are ignored. Country identities are alpha-2 codes;
 any free-text -> code resolution happens upstream of this module.
+
+Ingest reads each line by the first of three parsers that takes it, and
+all three give the same row or the same defect: a line in the compact
+layout ``synth`` writes is matched once by one pattern and its array texts
+are parsed once per cache fill (:func:`_accepted`); any other line that is
+canonical JSON is decoded by :func:`_fast_row`; :func:`_parse_checked`
+normalizes the rest and alone words every rejection.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import logging
 import os
 import pickle
+import re
 import signal
 import stat
 import string
@@ -287,6 +295,40 @@ def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
 _LINE = '{"id":%s,"year":%d,"subjects":[%s],"countries":[%s]}'
 
 
+# A line in the _LINE layout whose strings are printable ASCII with no '"' or
+# '\\', so that each decodes to its own text, and whose year follows JSON's
+# integer grammar, short of the int-string digit limit. The groups are the
+# id, the year digits, the text inside the subjects array and the countries
+# array with its brackets: no subjects text equals a countries text, so one
+# cache holds both.
+_CHAR = r'[ !#-\[\]-~]'
+_STRINGS = rf'"{_CHAR}*"(?:,"{_CHAR}*")*'
+_LAYOUT = re.compile(
+    rf'\{{"id":"({_CHAR}+)","year":(-?(?:0|[1-9][0-9]{{0,17}})),'
+    rf'"subjects":\[({_STRINGS})\],"countries":(\[{_STRINGS}\])\}}\n?')
+
+# The field cache of one _accepted call is cleared when it holds this many
+# texts. On the benchmark corpora this cap added at most 0.45 MB to the peak
+# RSS, 1,024 up to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB,
+# to save few parses (see CHANGES.md).
+FIELD_CACHE_SIZE = 512
+_MISS = object()
+
+
+def _subject_set(text: str) -> frozenset[str] | None:
+    """The stripped codes of a subjects text of the layout, or None where
+    :func:`_fast_row` would refuse them."""
+    codes = frozenset(map(str.strip, text[1:-1].split('","')))
+    return None if "" in codes else codes
+
+
+def _country_set(text: str) -> frozenset[str] | None:
+    """The codes of a countries array of the layout, or None where
+    :func:`_fast_row` would refuse them."""
+    codes = frozenset(text[2:-2].split('","'))
+    return codes if codes <= _CANONICAL_CODES else None
+
+
 def _json_strings(codes) -> str:
     return ",".join(map(_json_string, codes))
 
@@ -405,10 +447,14 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     """The accepting loop: one ``(id, year, subjects, countries)`` row, in
     :class:`PublicationRecord`'s field order, per accepted line.
 
-    A canonical line becomes a row with no record built; every other line
-    goes to :func:`_parse_checked`, which alone words every rejection.
-    ``stats`` is updated in place while the stream is consumed, so callers
-    that stop early still get exact counters for the consumed prefix.
+    A line in the canonical layout is matched once, and each of its
+    subjects and countries texts is parsed at most once per cache fill
+    (:data:`FIELD_CACHE_SIZE`): rows of lines that repeat a text share its
+    frozenset. Any other line takes :func:`_fast_row`; a line it refuses,
+    or a layout line with a field :func:`_fast_row` would refuse too, goes
+    to :func:`_parse_checked`, which alone words every rejection. ``stats``
+    is updated in place while the stream is consumed, so callers that stop
+    early still get exact counters for the consumed prefix.
     """
     policy = policy or ValidationPolicy()
     stats = stats if stats is not None else CorpusStats()
@@ -416,9 +462,28 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     mapped = (frozenset(region_map.entries)
               if region_map is not None and policy.unmapped_country != KEEP
               else None)
+    layout = _LAYOUT.fullmatch
+    field_sets: dict[str, frozenset[str] | None] = {}
     for line_no, line in enumerate(lines, start=1):
         stats.total_lines += 1
-        row = _fast_row(line)
+        match = layout(line)
+        if match is None:
+            row = _fast_row(line)
+        else:
+            row = None
+            rec_id, year, subjects, countries = match.groups()
+            subject_set = field_sets.get(subjects, _MISS)
+            if subject_set is _MISS:
+                if len(field_sets) >= FIELD_CACHE_SIZE:
+                    field_sets.clear()
+                subject_set = field_sets[subjects] = _subject_set(subjects)
+            country_set = field_sets.get(countries, _MISS)
+            if country_set is _MISS:
+                if len(field_sets) >= FIELD_CACHE_SIZE:
+                    field_sets.clear()
+                country_set = field_sets[countries] = _country_set(countries)
+            if subject_set is not None and country_set is not None:
+                row = rec_id, int(year), subject_set, country_set
         if row is None:
             try:
                 record = _parse_checked(line, line_no)

@@ -1,15 +1,22 @@
-"""Run options: the choice sets of the analysis flags, :class:`RunConfig`
-and the ``validate`` run.
+"""Run options: the choice sets of the analysis flags, :class:`RunConfig`,
+the ``validate`` run and the staged writing of output files.
 
 Nothing here imports numpy, so ``collabsim validate`` loads only this
-module and :mod:`collabsim.corpus`.
+module and :mod:`collabsim.corpus`, and ``collabsim synth`` adds
+:mod:`collabsim.synthgen` and numpy but no profile, similarity or
+aggregate module.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import takewhile
 from pathlib import Path
 
 from .corpus import (
@@ -107,3 +114,85 @@ def run_validate(cfg: RunConfig, stream=None) -> int:
     json.dump(stats.as_dict(), out)
     out.write("\n")
     return 0
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class OutputStager:
+    """Write-all-then-rename output directory handling.
+
+    Files are staged under temporary names; ``commit`` renames everything in
+    one pass, so a failed run never leaves partial outputs in place, and
+    ``abort`` also removes the directories the stager created, if empty.
+    """
+
+    def __init__(self, outdir: Path):
+        self.outdir = Path(outdir)
+        self._staged: list[tuple[Path, Path]] = []
+        self._created: list[Path] = []  # in creation order, parents first
+        self._make_dirs(self.outdir)
+
+    def _make_dirs(self, path: Path) -> None:
+        """Create ``path`` and its missing parents, recording each one."""
+        for missing in reversed(list(takewhile(
+                lambda p: not p.exists(), (path, *path.parents)))):
+            missing.mkdir(exist_ok=True)
+            self._created.append(missing)
+
+    @contextmanager
+    def open(self, name: str | Path):
+        """A text file to write ``name`` (a path relative to the output
+        directory, whose missing directories are created): written as
+        ``.<name>.part`` beside it, removed if the block fails, renamed by
+        :meth:`commit`."""
+        final = self.outdir / name
+        if any(final == staged for _, staged in self._staged):
+            raise FileExistsError(f"output named twice: {final}")
+        self._make_dirs(final.parent)
+        temp = final.with_name(f".{final.name}.part")
+        try:
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+        self._staged.append((temp, final))
+
+    def stage_text(self, name: str, text: str) -> None:
+        with self.open(name) as fh:
+            fh.write(text)
+
+    def stage_csv(self, name: str, header: list[str], rows) -> None:
+        self.stage_text(name, _csv_text(header, rows))
+
+    @property
+    def staged_names(self) -> list[str]:
+        return sorted(final.name for _, final in self._staged)
+
+    def commit(self) -> None:
+        """Rename every staged file into place, or none if a target is a
+        directory."""
+        for _, final in self._staged:
+            if final.is_dir():
+                raise IsADirectoryError(f"output is a directory: {final}")
+        for temp, final in self._staged:
+            os.replace(temp, final)
+        self._staged, self._created = [], []
+
+    def abort(self) -> None:
+        """Remove every staged file, then every directory the stager
+        created that is empty, deepest first."""
+        for temp, _ in self._staged:
+            temp.unlink(missing_ok=True)
+        for made in reversed(self._created):
+            try:
+                made.rmdir()
+            except OSError:  # not empty: something else wrote into it
+                pass
+        self._staged, self._created = [], []

@@ -8,13 +8,10 @@ temporary names and renamed only after every output has been written.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +25,12 @@ from .aggregates import (
     threshold_flags,
 )
 from .corpus import CorpusStats, RegionMap, fold_corpus, load_region_map
-from .options import RunConfig, UsageError, run_validate  # noqa: F401 (re-export)
+from .options import (  # noqa: F401 (run_validate: re-export)
+    OutputStager,
+    RunConfig,
+    UsageError,
+    run_validate,
+)
 from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
     INDICATORS,
@@ -38,7 +40,15 @@ from .similarity import (
     five_indicators,
     world_baseline,
 )
-from .synthgen import Scenario, region_map_for, write_corpus
+
+
+def __getattr__(name: str):
+    # run_synth lives in synthgen; loading it here would slow every report
+    if name == "run_synth":
+        from .synthgen import run_synth
+        return run_synth
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FLOAT_FORMAT = "{:.6f}"
 
@@ -131,70 +141,6 @@ def _fmt(value) -> str:
 
 def _fmt_count(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else _fmt(value)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-class OutputStager:
-    """Write-all-then-rename output directory handling.
-
-    Files are staged under temporary names; ``commit`` renames everything in
-    one pass, so a failed run never leaves partial outputs in place.
-    """
-
-    def __init__(self, outdir: Path):
-        self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self._staged: list[tuple[Path, Path]] = []
-
-    @contextmanager
-    def open(self, name: str | Path):
-        """A text file to write ``name`` (a path relative to the output
-        directory): written as ``.<name>.part`` beside it, removed if the
-        block fails, renamed by :meth:`commit`."""
-        final = self.outdir / name
-        if any(final == staged for _, staged in self._staged):
-            raise FileExistsError(f"output named twice: {final}")
-        temp = final.with_name(f".{final.name}.part")
-        try:
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
-                yield fh
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
-        self._staged.append((temp, final))
-
-    def stage_text(self, name: str, text: str) -> None:
-        with self.open(name) as fh:
-            fh.write(text)
-
-    def stage_csv(self, name: str, header: list[str], rows) -> None:
-        self.stage_text(name, _csv_text(header, rows))
-
-    @property
-    def staged_names(self) -> list[str]:
-        return sorted(final.name for _, final in self._staged)
-
-    def commit(self) -> None:
-        """Rename every staged file into place, or none if a target is a
-        directory."""
-        for _, final in self._staged:
-            if final.is_dir():
-                raise IsADirectoryError(f"output is a directory: {final}")
-        for temp, final in self._staged:
-            os.replace(temp, final)
-        self._staged = []
-
-    def abort(self) -> None:
-        for temp, _ in self._staged:
-            temp.unlink(missing_ok=True)
-        self._staged = []
 
 
 def _digest(path: Path, sha256: str | None = None) -> dict:
@@ -345,29 +291,6 @@ def run_outputs(subcommand: str, cfg: RunConfig) -> int:
         names = stager.staged_names
         stager.stage_text(MANIFEST_JSON,
                           manifest_text(cfg, subcommand, result, names))
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
-    return 0
-
-
-def run_synth(scenario_path, out_path, regions_out=None) -> int:
-    """Generate a synthetic corpus (and optionally its region map); both
-    files are committed together or not at all."""
-    scenario = Scenario.load(scenario_path)
-    for path in (out_path, regions_out):
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-    # the paths are relative to the working directory
-    stager = OutputStager(Path.cwd())
-    try:
-        with stager.open(out_path) as fh:
-            write_corpus(scenario, fh)
-        if regions_out is not None:
-            region_map = region_map_for(scenario.countries)
-            rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]
-            stager.stage_csv(regions_out, ["country", "region"], rows)
         stager.commit()
     except BaseException:
         stager.abort()

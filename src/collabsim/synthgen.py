@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -41,6 +42,7 @@ from .corpus import (
     normalize_country,
     record_to_line,
 )
+from .options import OutputStager
 
 WORLD_BANK_REGIONS = (
     "East Asia & Pacific",
@@ -638,3 +640,24 @@ def region_map_for(countries: Iterable[str]) -> RegionMap:
     entries = {c: WORLD_BANK_REGIONS[i % len(WORLD_BANK_REGIONS)]
                for i, c in enumerate(sorted(countries))}
     return RegionMap(entries)
+
+
+def run_synth(scenario_path, out_path, regions_out=None) -> int:
+    """Generate a synthetic corpus (and optionally its region map); both
+    files are committed together or not at all, and a failed run removes
+    the directories it created for them."""
+    scenario = Scenario.load(scenario_path)
+    # the paths are relative to the working directory
+    stager = OutputStager(Path.cwd())
+    try:
+        with stager.open(out_path) as fh:
+            write_corpus(scenario, fh)
+        if regions_out is not None:
+            region_map = region_map_for(scenario.countries)
+            rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]
+            stager.stage_csv(regions_out, ["country", "region"], rows)
+        stager.commit()
+    except BaseException:
+        stager.abort()
+        raise
+    return 0

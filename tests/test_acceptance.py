@@ -21,7 +21,13 @@ from collabsim.aggregates import CAGR, LOGLINEAR, growth_rate, threshold_flags
 from collabsim.profiles import Profile, SUBJECT_SPACE, build_profiles, merge_tables
 from collabsim.reporting import RunConfig, run_pipeline
 from collabsim.similarity import INDICATORS, cosine, five_indicators
-from collabsim.synthgen import Scenario, generate, region_map_for, write_jsonl
+from collabsim.synthgen import (
+    Scenario,
+    generate,
+    region_map_for,
+    write_corpus,
+    write_jsonl,
+)
 
 from oracle import cosine_ref, five_sims_ref, random_records, recount
 
@@ -276,7 +282,7 @@ def test_criterion_8_determinism_and_performance(tmp_path, verdict):
     })
     corpus = tmp_path / "big.jsonl"
     with open(corpus, "w") as fh:
-        n_records = write_jsonl(generate(scenario), fh)
+        n_records = write_corpus(scenario, fh)
     assert n_records > 900_000
     regions = tmp_path / "regions.csv"
     _write_regions(regions, region_map_for(scenario.countries))

@@ -426,6 +426,55 @@ def test_synth_creates_the_parents_of_both_outputs(tmp_path, capsys):
                                "c/d/regions.csv", "scenario.json"]
 
 
+def test_synth_failure_removes_the_directories_it_created(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(
+        {"seed": 1, "n_countries": 4, "pubs_per_country_year": 3}))
+    # refused before the commit: one path named for both outputs
+    assert _run(["synth", "--scenario", "scenario.json", "--out",
+                 "new/a.jsonl", "--regions-out", "new/a.jsonl"]) == 2
+    assert "named twice" in json.loads(capsys.readouterr().err)["error"]
+    assert _tree(tmp_path) == ["scenario.json"]
+    # refused at the commit: the region map's target is a directory
+    Path("target").mkdir()
+    assert _run(["synth", "--scenario", "scenario.json", "--out",
+                 "new/deeper/a.jsonl", "--regions-out", "target"]) == 2
+    assert "is a directory" in json.loads(capsys.readouterr().err)["error"]
+    assert _tree(tmp_path) == ["scenario.json", "target"]
+    # a created directory that something else wrote into is kept
+    Path("old").mkdir()
+    stager = OutputStager(tmp_path)
+    stager.stage_text("old/new/a.txt", "x")
+    (tmp_path / "old" / "new" / "other.txt").write_text("y")
+    stager.abort()
+    assert _tree(tmp_path / "old") == ["new", "new/other.txt"]
+    # an analysis command's output directory goes the same way
+    OutputStager(tmp_path / "made" / "out").abort()
+    assert not (tmp_path / "made").exists()
+
+
+def test_synth_loads_no_report_module(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "n_countries": 4,
+                                    "pubs_per_country_year": 3}))
+    corpus = tmp_path / "corpus.jsonl"
+    args = ["synth", "--scenario", str(scenario), "--out", str(corpus),
+            "--regions-out", str(tmp_path / "regions.csv")]
+    code = ("import sys\n"
+            "from collabsim.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "loaded = [m for m in ('collabsim.profiles', 'collabsim.aggregates',"
+            " 'collabsim.similarity', 'collabsim.reporting')"
+            " if m in sys.modules]\n"
+            "assert not loaded, f'synth imported {loaded}'\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert corpus.read_text().count("\n") > 0
+
+
 def test_every_public_name_resolves():
     import collabsim
     from collabsim import classify

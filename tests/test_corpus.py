@@ -19,6 +19,7 @@ from collabsim.corpus import (
     ValidationPolicy,
     _fast_row,
     _parse_checked,
+    fold_corpus,
     iter_accepted,
     load_region_map,
     normalize_country,
@@ -105,6 +106,38 @@ def test_fast_path_takes_only_canonical_lines():
                  canonical.replace('"A"', '" "'),
                  canonical.replace("2010", "true")):
         assert _fast_row(line) is None, line
+    # the accepting loop's layout: printable ASCII strings without '"' or
+    # '\\', a year in JSON's integer grammar of at most 18 digits, no space
+    layout = corpus._LAYOUT.fullmatch
+    assert layout(canonical).groups() == ("p", "2010", '"A","B"',
+                                          '["NL","ES"]')
+    assert layout(canonical + "\n") and not layout(canonical + "\n\n")
+    for line, matches in (
+            (canonical.replace("2010", "-0"), True),
+            (canonical.replace("2010", "9" * 18), True),
+            (canonical.replace("2010", "9" * 19), False),
+            (canonical.replace("2010", "02010"), False),
+            (canonical.replace("2010", "-02010"), False),
+            (canonical.replace('"p"', '"p\x01"'), False),
+            (canonical.replace('"p"', '"p\x7f"'), False),
+            (canonical.replace('"p"', '"p\\u0041"'), False),
+            (canonical.replace('"p"', '""'), False),
+            (canonical.replace('"A"', '"A]"'), True),
+            (canonical.replace('"A"', '"\u00e9"'), False),
+            (canonical.replace('"NL"', '"nl"'), True),
+            (canonical.replace('"ES"', '" ES "'), True),
+            (canonical.replace('"ES"', '""'), True),
+            (canonical.replace('"A"', '" "'), True),
+            (canonical.replace('["A","B"]', "[]"), False),
+            (canonical.replace(',"year"', ', "year"'), False),
+            (canonical + " x", False),
+            (canonical[:-1] + ',"doi":"x"}', False),
+            (canonical + "\r\n", False)):
+        assert bool(layout(line)) is matches, line
+        records, stats, _ = _checked_reference(
+            [line], set(), ValidationPolicy().with_unmapped("keep"))
+        assert list(iter_accepted([line])) == records, line
+        assert validate_corpus([line]) == stats, line
 
 
 def _outcome(parse, line):
@@ -594,3 +627,58 @@ def test_run_pipeline_builds_no_record_on_canonical_corpus(tmp_path,
     # the counter sees the records the public view builds
     assert len(list(iter_accepted(path.read_text().splitlines()))) == len(records)
     assert len(built) == len(records)
+
+
+# layout lines whose field texts repeat: canonical ones and ones the layout
+# matches that a field check refuses (lower-case, padded or empty country,
+# empty subject, -0 and 18-digit years outside the window) or that it does
+# not match (a control character in the id, an escape, a 19-digit year);
+# some texts are a valid subjects field and a refused countries field
+_LAYOUT_LINE = st.builds(
+    lambda rec_id, year, subjects, countries: (
+        '{"id":%s,"year":%s,"subjects":[%s],"countries":[%s]}\n'
+        % (rec_id, year, subjects, countries)),
+    st.sampled_from(['"p1"', '"p2"', '"p 3"', '"p\x01"', '"q\\u00e9"']),
+    st.sampled_from(["2010", "2012", "1900", "2100", "1899", "-0", "0",
+                     "9" * 18, "1" * 19]),
+    st.sampled_from(['"A"', '"A","B"', '"B","A"', '"PHYS"," C "', '"A]"',
+                     '"A","A"', '""', '" "', '"A",""', '"\\u00e9"',
+                     '"nl"', '" ES "', '"NL"']),
+    st.sampled_from(['"NL"', '"NL","ES"', '"ES","NL"', '"XX"', '"NL","NL"',
+                     '"nl"', '" ES "', '""', '"NL",""', '"NLD"']))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_LAYOUT_LINE, _LINE.map(lambda l: l + "\n")),
+                max_size=40),
+       st.sampled_from(["skip", "keep", "fail"]))
+def test_layout_recogniser_matches_checked_reference(lines, action):
+    policy = (ValidationPolicy.fail_fast() if action == "fail"
+              else ValidationPolicy()).with_unmapped(action)
+    region_map = RegionMap({"NL": "North", "ES": "South"})
+    records, stats, error = _checked_reference(lines, {"NL", "ES"}, policy)
+    # a layout line whose field is refused skips _fast_row, which refuses it
+    for match in filter(None, map(corpus._LAYOUT.fullmatch, lines)):
+        refused = (corpus._subject_set(match[3]) is None
+                   or corpus._country_set(match[4]) is None)
+        assert refused is (_fast_row(match.string) is None), match.string
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        # the field caches clear mid-stream; the file folds in three ranges
+        mp.setattr(corpus, "FIELD_CACHE_SIZE", 2)
+        mp.setattr(corpus, "SHARD_MIN_BYTES", 64)
+        mp.setattr(corpus, "SHARD_WORKERS", 3)
+        if error is not None:
+            for run in (lambda: list(iter_accepted(lines, region_map, policy)),
+                        lambda: fold_corpus(path, list, region_map, policy)):
+                with pytest.raises(CorpusError) as err:
+                    run()
+                assert str(err.value) == error
+            return
+        got = CorpusStats()
+        assert list(iter_accepted(lines, region_map, policy, got)) == records
+        assert got == stats
+        folded, parts = fold_corpus(path, list, region_map, policy)
+    assert folded == stats
+    assert [PublicationRecord(*row) for part in parts for row in part] == records
