@@ -7,12 +7,13 @@ Input corpora are UTF-8 files with one JSON object per line::
 Unknown extra fields are ignored. Country identities are alpha-2 codes;
 any free-text -> code resolution happens upstream of this module.
 
-Ingest reads each line by the first of three parsers that takes it, and
-all three give the same row or the same defect: a line in the compact
-layout ``synth`` writes is matched once by one pattern and its array texts
-are parsed once per cache fill (:func:`_accepted`); any other line that is
-canonical JSON is decoded by :func:`_fast_row`; :func:`_parse_checked`
-normalizes the rest and alone words every rejection.
+Ingest reads each line by one of two parsers, which give the same row or
+the same defect: a line in the compact layout ``synth`` writes is matched
+once by one pattern and its array texts are parsed once per cache fill
+(:func:`_accepted`); every other line, and a layout line with a refused
+field, is decoded once by the checked parser (:func:`_parse_row`), which
+accepts canonical content at once, normalizes the rest and alone words
+every rejection.
 """
 
 from __future__ import annotations
@@ -172,44 +173,6 @@ def _utf8_ok(text: str) -> bool:
     return True
 
 
-def _fast_row(line: str) -> tuple | None:
-    """The ``(id, year, subjects, countries)`` row of a line that is already
-    in canonical form, else None.
-
-    Accepts only: one JSON object filling the whole line (a final newline
-    aside) with a non-empty string ``id``, an integer ``year``, non-empty
-    stripped subject codes and canonical country codes, all writable as
-    UTF-8. Such a line parses to the same record under the checked parser.
-    Never rejects; None leaves every decision to :func:`_parse_checked`.
-    """
-    try:
-        obj, end = _raw_decode(line)
-    except (ValueError, RecursionError):
-        return None
-    if (end != len(line) and line[end:] != "\n") or type(obj) is not dict:
-        return None
-    rec_id = obj.get("id")
-    year = obj.get("year")
-    subjects = obj.get("subjects")
-    countries = obj.get("countries")
-    if (type(rec_id) is not str or not rec_id or type(year) is not int
-            or type(subjects) is not list or type(countries) is not list):
-        return None
-    try:
-        subject_set = frozenset(map(str.strip, subjects))
-        country_set = frozenset(countries)
-    except TypeError:  # a non-string subject or an unhashable country
-        return None
-    if (not subject_set or "" in subject_set or not country_set
-            or not country_set <= _CANONICAL_CODES):
-        return None
-    # an ASCII line without escapes decodes to ASCII strings only
-    if ((not line.isascii() or "\\" in line)
-            and not (_utf8_ok(line) and _utf8_ok("".join(subject_set)))):
-        return None
-    return rec_id, year, subject_set, country_set
-
-
 def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
     """Parse one JSON line into a :class:`PublicationRecord`.
 
@@ -217,29 +180,69 @@ def parse_record(line: str, line_no: int | None = None) -> PublicationRecord:
     codes are stripped and deduplicated. Key order in the input object is
     irrelevant. Raises :class:`RecordError` with ``category`` set to
     ``malformed``, ``missing_country`` or ``missing_subject``.
-
-    Lines already in canonical form take a fast path that only accepts;
-    every other line goes through the checked parser, which alone decides
-    and words every rejection.
     """
-    row = _fast_row(line)
-    return PublicationRecord(*row) if row else _parse_checked(line, line_no)
+    return PublicationRecord(*_parse_row(line, line_no))
 
 
-def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
-    """:func:`parse_record` with every field checked and normalized."""
+# raw_decode refuses a line that starts with JSON whitespace, which
+# json.loads skips, or with a BOM, which json.loads words as its own error
+_LOADS_FIRST = " \t\n\r\ufeff"
+
+
+def _parse_row(line: str, line_no: int | None = None) -> tuple:
+    """The checked parser: the ``(id, year, subjects, countries)`` row of
+    one JSON line, in :class:`PublicationRecord`'s field order, with every
+    field checked and normalized as :func:`parse_record` says.
+
+    The line is decoded once, by ``raw_decode``; ``json.loads`` reads only
+    a line that starts with JSON whitespace or a BOM, or that has more than
+    a newline after its value. Content that is already canonical is
+    accepted at once; any other is walked item by item to word its first
+    defect.
+    """
+    # a decode error is worded only after the checks of the line's text
+    error = None
+    try:
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            if line[:1] not in _LOADS_FIRST:
+                raise
+            obj = json.loads(line)
+        else:
+            if end != len(line) and line[end:] != "\n":
+                obj = json.loads(line)  # skips JSON whitespace, words text
+    except json.JSONDecodeError as exc:
+        obj, error = None, f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        obj, error = None, "invalid JSON: nested too deeply"
+    except ValueError:  # an integer past the int-string digit limit
+        obj, error = None, "invalid JSON: integer too long"
+    if type(obj) is dict:
+        rec_id = obj.get("id")
+        year = obj.get("year")
+        subjects = obj.get("subjects")
+        countries = obj.get("countries")
+        if (type(rec_id) is str and rec_id and type(year) is int
+                and type(subjects) is list and type(countries) is list):
+            try:
+                subject_set = frozenset(map(str.strip, subjects))
+                country_set = frozenset(countries)
+            except TypeError:  # a non-string subject or an unhashable country
+                subject_set = country_set = frozenset()
+            # an ASCII line without escapes decodes to ASCII strings only
+            if (subject_set and "" not in subject_set and country_set
+                    and country_set <= _CANONICAL_CODES
+                    and (line.isascii() and "\\" not in line
+                         or _utf8_ok(line) and _utf8_ok("".join(subject_set)))):
+                return rec_id, year, subject_set, country_set
+
     if not line.strip():
         raise RecordError("blank line", line_no)
     if not _utf8_ok(line):
         raise RecordError("invalid UTF-8", line_no)
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"invalid JSON: {exc.msg}", line_no) from exc
-    except RecursionError as exc:
-        raise RecordError("invalid JSON: nested too deeply", line_no) from exc
-    except ValueError as exc:  # an integer past the int-string digit limit
-        raise RecordError("invalid JSON: integer too long", line_no) from exc
+    if error is not None:
+        raise RecordError(error, line_no)
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object", line_no)
 
@@ -285,8 +288,7 @@ def _parse_checked(line: str, line_no: int | None = None) -> PublicationRecord:
     if not countries:
         raise RecordError("empty countries", line_no, MISSING_COUNTRY)
 
-    return PublicationRecord(rec_id, year, frozenset(subjects),
-                             frozenset(countries))
+    return rec_id, year, frozenset(subjects), frozenset(countries)
 
 
 # The canonical corpus line: json.dumps's bytes with compact separators for
@@ -317,14 +319,14 @@ _MISS = object()
 
 def _subject_set(text: str) -> frozenset[str] | None:
     """The stripped codes of a subjects text of the layout, or None where
-    :func:`_fast_row` would refuse them."""
+    the accept test of :func:`_parse_row` would refuse them."""
     codes = frozenset(map(str.strip, text[1:-1].split('","')))
     return None if "" in codes else codes
 
 
 def _country_set(text: str) -> frozenset[str] | None:
-    """The codes of a countries array of the layout, or None where
-    :func:`_fast_row` would refuse them."""
+    """The codes of a countries array of the layout, or None where the
+    accept test of :func:`_parse_row` would refuse them."""
     codes = frozenset(text[2:-2].split('","'))
     return codes if codes <= _CANONICAL_CODES else None
 
@@ -450,9 +452,8 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     A line in the canonical layout is matched once, and each of its
     subjects and countries texts is parsed at most once per cache fill
     (:data:`FIELD_CACHE_SIZE`): rows of lines that repeat a text share its
-    frozenset. Any other line takes :func:`_fast_row`; a line it refuses,
-    or a layout line with a field :func:`_fast_row` would refuse too, goes
-    to :func:`_parse_checked`, which alone words every rejection. ``stats``
+    frozenset. Any other line, and a layout line with a refused field,
+    goes to :func:`_parse_row`, which alone words every rejection. ``stats``
     is updated in place while the stream is consumed, so callers that stop
     early still get exact counters for the consumed prefix.
     """
@@ -467,10 +468,8 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     for line_no, line in enumerate(lines, start=1):
         stats.total_lines += 1
         match = layout(line)
-        if match is None:
-            row = _fast_row(line)
-        else:
-            row = None
+        row = None
+        if match is not None:
             rec_id, year, subjects, countries = match.groups()
             subject_set = field_sets.get(subjects, _MISS)
             if subject_set is _MISS:
@@ -486,14 +485,13 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
                 row = rec_id, int(year), subject_set, country_set
         if row is None:
             try:
-                record = _parse_checked(line, line_no)
+                row = _parse_row(line)
             except RecordError as exc:
                 if getattr(policy, exc.category) == FAIL:
                     raise CorpusError(exc.message, line_no) from exc
                 name = _SKIPPED_FIELD[exc.category]
                 setattr(stats, name, getattr(stats, name) + 1)
                 continue
-            row = record.id, record.year, record.subjects, record.countries
         year = row[1]
         if not lo <= year <= hi:
             if policy.malformed == FAIL:

@@ -229,9 +229,10 @@ class ProfileFold:
     ``add`` only interns the record's codes and appends their ids to flat
     buffers; every ``FLUSH_PAIRS`` of pending pair work the buffers are
     counted with numpy into ``disc[kind, country, subject]``,
-    ``partner[kind, country, partner]``, ``pubs[country, kind]`` and
-    ``regions[region, kind, year]``; only the region counts keep a year
-    axis, because only regional growth reads one. ``table`` and
+    ``partner[kind, country, partner]`` and ``regions[region, kind,
+    year]``; only the region counts keep a year axis, because only
+    regional growth reads one. The partner diagonal ``partner[kind, c, c]``
+    counts the records of each kind that list ``c``. ``table`` and
     ``region_counts`` then give the same results as :func:`accumulate` and
     :meth:`RegionYearCounts.add` over the same records. The pooled
     international family is derived as birc + mirc + mega.
@@ -252,7 +253,6 @@ class ProfileFold:
         self._region_of: list[int] = []  # country id -> region id
         self._disc = np.zeros((4, 0, 0), dtype=np.int64)
         self._partner = np.zeros((4, 0, 0), dtype=np.int64)
-        self._pubs = np.zeros((0, 4), dtype=np.int64)
         self._region_years = np.zeros((0, 4, 0), dtype=np.int64)
         self._reset_buffers()
 
@@ -293,7 +293,6 @@ class ProfileFold:
         n_r = len(self._regions)
         self._disc = _grown(self._disc, (4, n_c, n_s))
         self._partner = _grown(self._partner, (4, n_c, n_c))
-        self._pubs = _grown(self._pubs, (n_c, 4))
         self._region_years = _grown(self._region_years, (n_r, 4, n_y))
 
     def _flush(self) -> None:
@@ -317,10 +316,10 @@ class ProfileFold:
         _scatter_add(self._disc, np.repeat(row, m[rec]) * n_s
                      + s[_ranges((np.cumsum(m) - m)[rec], m[rec])])
         # every ordered (country, partner) pair, diagonal included: the
-        # diagonal and the domestic kind are dropped when the table is read
+        # table reads the diagonal as the publication counts, then drops it
+        # and the domestic kind from the partner profiles
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
                      + c[_ranges((np.cumsum(k) - k)[rec], k[rec])])
-        _scatter_add(self._pubs, c * 4 + kind[rec])
 
         region = np.asarray(self._region_of, dtype=np.intp)[c]
         if self.region_counting == REGION_DEDUP:
@@ -349,7 +348,6 @@ class ProfileFold:
         kinds = np.arange(4)
         self._disc[np.ix_(kinds, c, s)] += other._disc
         self._partner[np.ix_(kinds, c, c)] += other._partner
-        self._pubs[c] += other._pubs
         self._region_years[np.ix_(r, kinds, y)] += other._region_years
         return self
 
@@ -359,6 +357,7 @@ class ProfileFold:
         subjects, countries = list(self._subjects), list(self._countries)
         partner = self._partner.copy()
         diagonal = np.arange(len(countries))
+        pubs = partner[:, diagonal, diagonal].T.tolist()
         partner[:, diagonal, diagonal] = 0
         table: dict[str, CountryProfileSet] = {}
         for i, country in enumerate(countries):
@@ -376,7 +375,7 @@ class ProfileFold:
                                             countries),
                     **{family: _profile(PARTNER_SPACE, part[j], countries)
                        for j, family in enumerate(_KIND_FAMILIES) if j}},
-                pub_counts=TypeCounts(*self._pubs[i].tolist()),
+                pub_counts=TypeCounts(*pubs[i]),
             )
         return table
 

@@ -25,12 +25,7 @@ from .aggregates import (
     threshold_flags,
 )
 from .corpus import CorpusStats, RegionMap, fold_corpus, load_region_map
-from .options import (  # noqa: F401 (run_validate: re-export)
-    OutputStager,
-    RunConfig,
-    UsageError,
-    run_validate,
-)
+from .options import OutputStager, RunConfig, UsageError
 from .profiles import CountryProfileSet, ProfileFold, dump_rows
 from .similarity import (
     INDICATORS,
@@ -40,14 +35,6 @@ from .similarity import (
     five_indicators,
     world_baseline,
 )
-
-
-def __getattr__(name: str):
-    # run_synth lives in synthgen; loading it here would slow every report
-    if name == "run_synth":
-        from .synthgen import run_synth
-        return run_synth
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 FLOAT_FORMAT = "{:.6f}"

@@ -12,7 +12,13 @@ from collections import defaultdict
 
 import numpy as np
 
-from collabsim.corpus import PublicationRecord
+from collabsim.corpus import (
+    MISSING_COUNTRY,
+    MISSING_SUBJECT,
+    PublicationRecord,
+    RecordError,
+    normalize_country,
+)
 
 DISC_FAMILIES = ("domestic", "international", "birc", "mirc", "mega")
 PART_FAMILIES = ("international", "birc", "mirc", "mega")
@@ -137,6 +143,83 @@ def line_reference(record):
                        "subjects": sorted(record.subjects),
                        "countries": sorted(record.countries)},
                       separators=(",", ":"))
+
+
+_CANONICAL_CODES = frozenset(a + b for a in string.ascii_uppercase
+                             for b in string.ascii_uppercase)
+
+
+def _utf8_ok(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def parse_reference(line, line_no=None):
+    """parse_record's contract checked field by field over one json.loads
+    of the line: the same record, or the same RecordError category and
+    message."""
+    if not line.strip():
+        raise RecordError("blank line", line_no)
+    if not _utf8_ok(line):
+        raise RecordError("invalid UTF-8", line_no)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"invalid JSON: {exc.msg}", line_no) from exc
+    except RecursionError as exc:
+        raise RecordError("invalid JSON: nested too deeply", line_no) from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise RecordError("invalid JSON: integer too long", line_no) from exc
+    if not isinstance(obj, dict):
+        raise RecordError("record is not a JSON object", line_no)
+
+    rec_id = obj.get("id")
+    if not isinstance(rec_id, str) or not rec_id:
+        raise RecordError("missing or invalid field 'id'", line_no)
+
+    year = obj.get("year")
+    if isinstance(year, bool) or not isinstance(year, int):
+        raise RecordError("missing or invalid field 'year'", line_no)
+
+    raw_subjects = obj.get("subjects")
+    if raw_subjects is None:
+        raise RecordError("missing field 'subjects'", line_no, MISSING_SUBJECT)
+    if not isinstance(raw_subjects, list):
+        raise RecordError("field 'subjects' is not an array", line_no)
+    subjects = set()
+    for item in raw_subjects:
+        if not isinstance(item, str):
+            raise RecordError("subject codes must be strings", line_no)
+        code = item.strip()
+        if not code:
+            raise RecordError("empty subject code", line_no)
+        if not _utf8_ok(code):
+            raise RecordError("invalid UTF-8 in subject code", line_no)
+        subjects.add(code)
+    if not subjects:
+        raise RecordError("empty subjects", line_no, MISSING_SUBJECT)
+
+    raw_countries = obj.get("countries")
+    if raw_countries is None:
+        raise RecordError("missing field 'countries'", line_no, MISSING_COUNTRY)
+    if not isinstance(raw_countries, list):
+        raise RecordError("field 'countries' is not an array", line_no)
+    countries = set()
+    for item in raw_countries:
+        if not isinstance(item, str):
+            raise RecordError("country codes must be strings", line_no)
+        code = normalize_country(item)
+        if code not in _CANONICAL_CODES:
+            raise RecordError(f"invalid country code {item!r}", line_no)
+        countries.add(code)
+    if not countries:
+        raise RecordError("empty countries", line_no, MISSING_COUNTRY)
+
+    return PublicationRecord(rec_id, year, frozenset(subjects),
+                             frozenset(countries))
 
 
 def _draw(cdf, u):

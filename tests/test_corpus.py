@@ -17,8 +17,6 @@ from collabsim.corpus import (
     RegionMap,
     RegionMapError,
     ValidationPolicy,
-    _fast_row,
-    _parse_checked,
     fold_corpus,
     iter_accepted,
     load_region_map,
@@ -29,7 +27,13 @@ from collabsim.corpus import (
     validate_corpus,
 )
 from collabsim.reporting import RunConfig, run_pipeline
-from oracle import line_reference, random_records, recount, recount_regions
+from oracle import (
+    line_reference,
+    parse_reference,
+    random_records,
+    recount,
+    recount_regions,
+)
 
 HUGE_INT = "1" * 5000  # past CPython's int-string digit limit
 
@@ -95,17 +99,7 @@ def test_parse_defects(line, category, named):
 
 
 def test_fast_path_takes_only_canonical_lines():
-    # padded subjects are canonical once stripped; padded countries are not
     canonical = '{"id":"p","year":2010,"subjects":["A","B"],"countries":["NL","ES"]}'
-    assert PublicationRecord(*_fast_row(canonical)) == _parse_checked(canonical)
-    assert (PublicationRecord(*_fast_row(canonical + "\n"))
-            == _parse_checked(canonical))
-    for line in (canonical + "\r\n", " " + canonical, canonical + " x",
-                 canonical.replace('"NL"', '"nl"'),
-                 canonical.replace('"ES"', '" ES"'),
-                 canonical.replace('"A"', '" "'),
-                 canonical.replace("2010", "true")):
-        assert _fast_row(line) is None, line
     # the accepting loop's layout: printable ASCII strings without '"' or
     # '\\', a year in JSON's integer grammar of at most 18 digits, no space
     layout = corpus._LAYOUT.fullmatch
@@ -213,14 +207,14 @@ def _near_valid_line():
 @settings(max_examples=400)
 @given(_near_valid_line())
 def test_fast_path_matches_checked_parser(line):
-    assert _outcome(parse_record, line) == _outcome(_parse_checked, line)
+    assert _outcome(parse_record, line) == _outcome(parse_reference, line)
 
 
 @given(st.one_of(st.text(max_size=40),
                  st.binary(max_size=40).map(
                      lambda b: b.decode("utf-8", "surrogateescape"))))
 def test_fast_path_matches_checked_parser_on_noise(line):
-    assert _outcome(parse_record, line) == _outcome(_parse_checked, line)
+    assert _outcome(parse_record, line) == _outcome(parse_reference, line)
 
 
 def test_parse_error_carries_line_number():
@@ -496,12 +490,12 @@ def test_iter_accepted_streams_with_stats():
 
 def _checked_reference(lines, mapped, policy):
     """Records, counters and fail-fast message of a pass that reads every
-    line with ``_parse_checked`` alone."""
+    line with ``parse_reference`` alone."""
     stats, records = CorpusStats(), []
     for line_no, line in enumerate(lines, start=1):
         stats.total_lines += 1
         try:
-            record = _parse_checked(line, line_no)
+            record = parse_reference(line, line_no)
         except RecordError as exc:
             if getattr(policy, exc.category) == "fail":
                 return records, stats, str(exc)
@@ -529,7 +523,7 @@ def _checked_reference(lines, mapped, policy):
     return records, stats, None
 
 
-# compact lines (the fast path, but for an escaped lone surrogate) with
+# compact lines (accepted at once, but for an escaped lone surrogate) with
 # years at the ingest window's edges and on both sides of the analysis years
 _CANONICAL_LINE = st.builds(
     lambda i, year, subjects, countries: json.dumps(
@@ -648,23 +642,41 @@ _LAYOUT_LINE = st.builds(
                      '"nl"', '" ES "', '""', '"NL",""', '"NLD"']))
 
 
+# records outside the layout in the spellings the checked parser accepts
+# at once or normalizes: json.dumps's default separators (escaping a
+# non-ASCII subject), sorted keys with an extra key, raw non-ASCII, leading
+# whitespace and a BOM
+_SPELLED_LINE = st.builds(
+    lambda spell, rec_id, year, subjects, countries: spell(
+        {"id": rec_id, "year": year, "subjects": subjects,
+         "countries": countries}) + "\n",
+    st.sampled_from([
+        json.dumps,
+        lambda rec: json.dumps({**rec, "title": "T"}, sort_keys=True),
+        lambda rec: json.dumps(rec, ensure_ascii=False),
+        lambda rec: " " + json.dumps(rec, separators=(",", ":")),
+        lambda rec: "\ufeff" + json.dumps(rec, separators=(",", ":"))]),
+    st.sampled_from(["p1", "p2"]), st.sampled_from([2010, 1899]),
+    st.lists(st.sampled_from(["A", "B", " C", "\u00e9"]), min_size=1,
+             max_size=2),
+    st.lists(st.sampled_from(["NL", "ES", "nl", "XX"]), min_size=1,
+             max_size=2))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(_LAYOUT_LINE, _LINE.map(lambda l: l + "\n")),
-                max_size=40),
+@given(st.lists(st.one_of(_LAYOUT_LINE, _SPELLED_LINE,
+                          _LINE.map(lambda l: l + "\n")), max_size=40),
        st.sampled_from(["skip", "keep", "fail"]))
 def test_layout_recogniser_matches_checked_reference(lines, action):
     policy = (ValidationPolicy.fail_fast() if action == "fail"
               else ValidationPolicy()).with_unmapped(action)
     region_map = RegionMap({"NL": "North", "ES": "South"})
-    records, stats, error = _checked_reference(lines, {"NL", "ES"}, policy)
-    # a layout line whose field is refused skips _fast_row, which refuses it
-    for match in filter(None, map(corpus._LAYOUT.fullmatch, lines)):
-        refused = (corpus._subject_set(match[3]) is None
-                   or corpus._country_set(match[4]) is None)
-        assert refused is (_fast_row(match.string) is None), match.string
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
+        with open_corpus(path) as fh:
+            lines = fh.readlines()  # as fold_corpus reads them
+        records, stats, error = _checked_reference(lines, {"NL", "ES"}, policy)
         # the field caches clear mid-stream; the file folds in three ranges
         mp.setattr(corpus, "FIELD_CACHE_SIZE", 2)
         mp.setattr(corpus, "SHARD_MIN_BYTES", 64)

@@ -14,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collabsim import synthgen
-from collabsim.reporting import run_synth
 from collabsim.corpus import record_to_line
-from collabsim.synthgen import Scenario, generate, write_corpus, write_jsonl
+from collabsim.synthgen import (
+    Scenario,
+    generate,
+    run_synth,
+    write_corpus,
+    write_jsonl,
+)
 
 from oracle import _draw, generate_reference, line_reference
 
