@@ -301,18 +301,19 @@ _LINE = '{"id":%s,"year":%d,"subjects":[%s],"countries":[%s]}'
 # '\\', so that each decodes to its own text, and whose year follows JSON's
 # integer grammar, short of the int-string digit limit. The groups are the
 # id, the year digits, the text inside the subjects array and the countries
-# array with its brackets: no subjects text equals a countries text, so one
-# cache holds both.
+# array with its brackets.
 _CHAR = r'[ !#-\[\]-~]'
 _STRINGS = rf'"{_CHAR}*"(?:,"{_CHAR}*")*'
 _LAYOUT = re.compile(
     rf'\{{"id":"({_CHAR}+)","year":(-?(?:0|[1-9][0-9]{{0,17}})),'
     rf'"subjects":\[({_STRINGS})\],"countries":(\[{_STRINGS}\])\}}\n?')
 
-# The field cache of one _accepted call is cleared when it holds this many
-# texts. On the benchmark corpora this cap added at most 0.45 MB to the peak
-# RSS, 1,024 up to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB,
-# to save few parses (see CHANGES.md).
+# The subjects and countries caches of one _accepted call hold at most this
+# many texts together; a miss at the bound clears the cache of its own field,
+# so a field whose texts rarely repeat does not evict the other's. On the
+# benchmark corpora this cap added at most 0.45 MB to the peak RSS, 1,024 up
+# to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB, to save few
+# parses (see CHANGES.md).
 FIELD_CACHE_SIZE = 512
 _MISS = object()
 
@@ -464,23 +465,24 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
               if region_map is not None and policy.unmapped_country != KEEP
               else None)
     layout = _LAYOUT.fullmatch
-    field_sets: dict[str, frozenset[str] | None] = {}
+    subject_sets: dict[str, frozenset[str] | None] = {}
+    country_sets: dict[str, frozenset[str] | None] = {}
     for line_no, line in enumerate(lines, start=1):
         stats.total_lines += 1
         match = layout(line)
         row = None
         if match is not None:
             rec_id, year, subjects, countries = match.groups()
-            subject_set = field_sets.get(subjects, _MISS)
+            subject_set = subject_sets.get(subjects, _MISS)
             if subject_set is _MISS:
-                if len(field_sets) >= FIELD_CACHE_SIZE:
-                    field_sets.clear()
-                subject_set = field_sets[subjects] = _subject_set(subjects)
-            country_set = field_sets.get(countries, _MISS)
+                if len(subject_sets) + len(country_sets) >= FIELD_CACHE_SIZE:
+                    subject_sets.clear()
+                subject_set = subject_sets[subjects] = _subject_set(subjects)
+            country_set = country_sets.get(countries, _MISS)
             if country_set is _MISS:
-                if len(field_sets) >= FIELD_CACHE_SIZE:
-                    field_sets.clear()
-                country_set = field_sets[countries] = _country_set(countries)
+                if len(subject_sets) + len(country_sets) >= FIELD_CACHE_SIZE:
+                    country_sets.clear()
+                country_set = country_sets[countries] = _country_set(countries)
             if subject_set is not None and country_set is not None:
                 row = rec_id, int(year), subject_set, country_set
         if row is None:

@@ -5,15 +5,15 @@ ordered (country, partner) pair; there is no fractionalization. All counts
 are integers, so shard-local tables merge exactly and the build is
 deterministic for any record order or partitioning.
 
-:class:`ProfileFold` is the bulk path: it interns country, subject and year
-codes to dense ids and folds records into integer count arrays in bounded
-chunks. :func:`accumulate` is the per-record path over the same model.
+:class:`ProfileFold` is the bulk path: it interns each distinct country
+and subject set of a bounded chunk of records once and folds the chunk into
+integer count arrays. :func:`accumulate` is the per-record path.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -210,11 +210,22 @@ def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grown
 
 
-def _remap(ids: _Ids, codes: _Ids) -> np.ndarray:
-    """The ids in ``ids`` of the codes of ``codes``, in ``codes``' id order;
-    codes new to ``ids`` are interned."""
+def _remap(ids: dict, codes) -> np.ndarray:
+    """The ids in ``ids`` of ``codes``, a sized iterable, in order; with an
+    :class:`_Ids`, codes new to ``ids`` are interned."""
     return np.fromiter(map(ids.__getitem__, codes), dtype=np.intp,
                        count=len(codes))
+
+
+def _distinct_sets(ids: _Ids, sets: list) -> tuple[np.ndarray, ...]:
+    """Each set's index among the distinct ``sets`` in order of first
+    appearance, and the distinct sets' sizes and code ids, concatenated;
+    interning them in that order gives each code the id that interning
+    every set in turn would."""
+    index = dict(zip(dict.fromkeys(sets), count()))
+    sizes = np.fromiter(map(len, index), dtype=np.intp, count=len(index))
+    return (_remap(index, sets), sizes,
+            _remap(ids, list(chain.from_iterable(index))))
 
 
 def _profile(namespace: str, row: np.ndarray, names: list[str]) -> Profile:
@@ -226,9 +237,11 @@ def _profile(namespace: str, row: np.ndarray, names: list[str]) -> Profile:
 class ProfileFold:
     """Whole-counting fold of records into interned-id count arrays.
 
-    ``add`` only interns the record's codes and appends their ids to flat
-    buffers; every ``FLUSH_PAIRS`` of pending pair work the buffers are
-    counted with numpy into ``disc[kind, country, subject]``,
+    ``add`` only appends the record's year, country set and subject set to
+    buffers. Every ``FLUSH_PAIRS`` of pending pair work, each distinct set
+    of the buffers is interned once, in order of first appearance, and
+    (in dedup mode) its regions found once; numpy expands the sets per
+    record and counts them into ``disc[kind, country, subject]``,
     ``partner[kind, country, partner]`` and ``regions[region, kind,
     year]``; only the region counts keep a year axis, because only
     regional growth reads one. The partner diagonal ``partner[kind, c, c]``
@@ -257,13 +270,17 @@ class ProfileFold:
         self._reset_buffers()
 
     def _reset_buffers(self) -> None:
-        # per country / subject of each record, then per record
-        self._c, self._s = array("i"), array("i")
-        self._k, self._m, self._y = array("i"), array("i"), array("i")
+        # the year, countries and subjects of each pending record
+        self._y, self._cs, self._ss = [], [], []
         self._pending = 0
 
+    def __getstate__(self) -> dict:
+        """Flush first, so that only counts and intern dicts are pickled."""
+        self._flush()
+        return self.__dict__
+
     def add(self, record: PublicationRecord) -> None:
-        """Fold one record: intern its codes and buffer their ids."""
+        """Fold one record: buffer its year and code sets."""
         self.add_codes(record.year, record.countries, record.subjects)
 
     def add_codes(self, year: int, countries: frozenset[str],
@@ -273,19 +290,16 @@ class ProfileFold:
         k = len(countries)
         if k < 1:
             raise ValueError("record has no countries")
-        m = len(subjects)
-        self._c.extend(map(self._countries.__getitem__, countries))
-        self._s.extend(map(self._subjects.__getitem__, subjects))
-        self._k.append(k)
-        self._m.append(m)
-        self._y.append(self._years[year])
-        self._pending += k * (k + m)
+        self._y.append(year)
+        self._cs.append(countries)
+        self._ss.append(subjects)
+        self._pending += k * (k + len(subjects))
         if self._pending >= FLUSH_PAIRS:
             self._flush()
 
-    def _grow(self) -> None:
-        """Place every interned country in its region and size the count
-        arrays to the interned codes."""
+    def _grow(self) -> tuple[int, int, int, int]:
+        """Place every interned country in its region, size the count
+        arrays to the interned codes and return their numbers."""
         n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
         for country in list(self._countries)[len(self._region_of):]:
             self._region_of.append(
@@ -294,38 +308,44 @@ class ProfileFold:
         self._disc = _grown(self._disc, (4, n_c, n_s))
         self._partner = _grown(self._partner, (4, n_c, n_c))
         self._region_years = _grown(self._region_years, (n_r, 4, n_y))
+        return n_c, n_s, n_y, n_r
 
     def _flush(self) -> None:
-        if not self._k:
+        if not self._y:
             return
-        self._grow()
-        n_c, n_s, n_y = len(self._countries), len(self._subjects), len(self._years)
-        n_r = len(self._regions)
-
-        c = np.frombuffer(self._c, dtype=np.intc).astype(np.intp)
-        s = np.frombuffer(self._s, dtype=np.intc).astype(np.intp)
-        k = np.frombuffer(self._k, dtype=np.intc).astype(np.intp)
-        m = np.frombuffer(self._m, dtype=np.intc).astype(np.intp)
-        year = np.frombuffer(self._y, dtype=np.intc).astype(np.intp)
+        years, cs, ss = self._y, self._cs, self._ss
         self._reset_buffers()
+        year = _remap(self._years, years)
+        c_set, k_d, c_codes = _distinct_sets(self._countries, cs)
+        s_set, m_d, s_codes = _distinct_sets(self._subjects, ss)
+        n_c, n_s, n_y, n_r = self._grow()
 
+        # per record: its set's size and the offset of its codes
+        k, c_at = k_d[c_set], (np.cumsum(k_d) - k_d)[c_set]
+        m, s_at = m_d[s_set], (np.cumsum(m_d) - m_d)[s_set]
         kind = kind_index(k, self.mega_threshold)
         # one entry per (record, country)
         rec = np.repeat(np.arange(len(k)), k)
-        row = kind[rec] * n_c + c
+        row = kind[rec] * n_c + c_codes[_ranges(c_at, k)]
         _scatter_add(self._disc, np.repeat(row, m[rec]) * n_s
-                     + s[_ranges((np.cumsum(m) - m)[rec], m[rec])])
+                     + s_codes[_ranges(s_at[rec], m[rec])])
         # every ordered (country, partner) pair, diagonal included: the
         # table reads the diagonal as the publication counts, then drops it
         # and the domestic kind from the partner profiles
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
-                     + c[_ranges((np.cumsum(k) - k)[rec], k[rec])])
+                     + c_codes[_ranges(c_at[rec], k[rec])])
 
-        region = np.asarray(self._region_of, dtype=np.intp)[c]
+        # each distinct country set's regions (once each in dedup mode)
+        region = np.asarray(self._region_of, dtype=np.intp)[c_codes]
+        owner = np.repeat(np.arange(len(k_d)), k_d)
         if self.region_counting == REGION_DEDUP:
-            distinct = np.unique(rec * n_r + region)
-            rec, region = distinct // n_r, distinct % n_r
-        _scatter_add(self._region_years, (region * 4 + kind[rec]) * n_y + year[rec])
+            distinct = np.unique(owner * n_r + region)
+            owner, region = distinct // n_r, distinct % n_r
+        r_d = np.bincount(owner, minlength=len(k_d))
+        r, r_at = r_d[c_set], (np.cumsum(r_d) - r_d)[c_set]
+        rec = np.repeat(np.arange(len(k)), r)
+        _scatter_add(self._region_years, (region[_ranges(r_at, r)] * 4
+                                          + kind[rec]) * n_y + year[rec])
 
     def merge(self, other: "ProfileFold") -> "ProfileFold":
         """Add the counts of ``other``, a fold with the same settings, into

@@ -20,7 +20,7 @@ from collabsim.corpus import PublicationRecord, record_to_line
 from collabsim.aggregates import CAGR, LOGLINEAR, growth_rate, threshold_flags
 from collabsim.profiles import Profile, SUBJECT_SPACE, build_profiles, merge_tables
 from collabsim.reporting import RunConfig, run_pipeline
-from collabsim.similarity import INDICATORS, cosine, five_indicators
+from collabsim.similarity import INDICATORS, cosine
 from collabsim.synthgen import (
     Scenario,
     generate,
@@ -215,7 +215,7 @@ def test_criterion_4_classification_totality(verdict):
 
 # 5 ------------------------------------------------------------------------
 
-def test_criterion_5_mirc_drift_hypothesis(verdict):
+def test_criterion_5_mirc_drift_hypothesis(tmp_path, verdict):
     started = time.perf_counter()
     wins = 0
     for seed in range(20):
@@ -224,8 +224,11 @@ def test_criterion_5_mirc_drift_hypothesis(verdict):
             "pubs_per_country_year": 500, "years": [2008, 2017],
             "drift_birc": 0.2, "drift_mirc": 0.8,
         })
-        reports = [five_indicators(ps)
-                   for ps in build_profiles(generate(scenario)).values()]
+        corpus, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+        with open(corpus, "w") as fh:
+            write_corpus(scenario, fh)
+        _write_regions(regions, region_map_for(scenario.countries))
+        reports = run_pipeline(RunConfig(corpus, regions, tmp_path)).reports
         assert len(reports) == 20
         med_birc = statistics.median(r.sim_dom_birc for r in reports)
         med_mirc = statistics.median(r.sim_dom_mirc for r in reports)

@@ -694,3 +694,19 @@ def test_layout_recogniser_matches_checked_reference(lines, action):
         folded, parts = fold_corpus(path, list, region_map, policy)
     assert folded == stats
     assert [PublicationRecord(*row) for part in parts for row in part] == records
+
+
+def test_countries_churn_keeps_the_subjects_cache(monkeypatch):
+    """Countries texts that never repeat clear only their own cache: each
+    subjects text is parsed once."""
+    parsed = []
+    parse = corpus._subject_set
+    monkeypatch.setattr(corpus, "_subject_set",
+                        lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(corpus, "FIELD_CACHE_SIZE", 8)
+    codes = [a + b for a in "ABC" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
+    lines = ['{"id":"p%d","year":2010,"subjects":["S%d"],"countries":'
+             '["%s","%s"]}' % (i, i % 3, codes[i], codes[i + 1])
+             for i in range(60)]
+    assert len(list(corpus._accepted(lines))) == 60
+    assert sorted(parsed) == ['"S0"', '"S1"', '"S2"']

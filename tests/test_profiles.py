@@ -1,3 +1,4 @@
+import pickle
 import random
 import string
 from functools import reduce
@@ -5,6 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collabsim import profiles
 from collabsim.aggregates import RegionYearCounts
 from collabsim.classify import classify
 from collabsim.corpus import PublicationRecord, RegionMap
@@ -406,3 +408,66 @@ def test_fold_merge_needs_the_same_settings():
                   ProfileFold(region_counting="country")):
         with pytest.raises(ValueError, match="different settings"):
             ProfileFold().merge(other)
+
+
+def test_fold_pickles_without_pending_records():
+    records = random_records(random.Random(5), 50, max_countries=5)
+    fold = _fold_of(records, 3, _PARTIAL_MAP, "dedup")
+    assert fold._cs  # rows still pending
+    clone = pickle.loads(pickle.dumps(fold))
+    assert (clone._y, clone._cs, clone._ss, clone._pending) == ([], [], [], 0)
+    assert _read(clone) == _read(fold)
+
+
+# --- the set-level fold: rows that share their code sets ------------------
+
+def _shared_set_records(rng, n, flush_pairs):
+    """Records whose country and subject sets come from small pools: a row
+    takes a pool's set object itself or an equal set built anew, in either
+    insertion order; one record alone exceeds ``flush_pairs``."""
+    countries = [a + b for a in "ABC" for b in "ABCDEF"]
+    subjects = [f"S{i}" for i in range(9)]
+
+    def pool(codes, max_size):
+        return [frozenset(rng.sample(codes, rng.randint(1, max_size)))
+                for _ in range(10)]
+
+    def pick(sets):
+        chosen = rng.choice(sets)
+        if rng.random() < 0.5:
+            return chosen
+        return frozenset(sorted(chosen, reverse=rng.random() < 0.5))
+
+    c_pool, s_pool = pool(countries, 8), pool(subjects, 4)
+    records = [PublicationRecord(f"r{i}", rng.randint(2005, 2012),
+                                 pick(s_pool), pick(c_pool))
+               for i in range(n)]
+    big = _rec("big", subjects, countries)
+    assert _pair_work([big]) > flush_pairs
+    records.insert(rng.randrange(n), big)
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([None, 3, 5]),
+       st.sampled_from(["dedup", "country"]),
+       st.sampled_from([None, _PARTIAL_MAP]))
+def test_set_level_fold_matches_per_record_path(seed, mega, mode, region_map):
+    """Interning each distinct set once per flush gives the per-record
+    counts, the oracle's recount and the countries in order of first
+    appearance, also over three merged shards."""
+    records = _shared_set_records(random.Random(seed), 300, 64)
+    reference = _per_record(records, mega, region_map, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "FLUSH_PAIRS", 64)
+        folded = _read(_fold_of(records, mega, region_map, mode))
+        merged = _read(reduce(ProfileFold.merge, [
+            _fold_of(part, mega, region_map, mode)
+            for part in (records[:90], records[90:200], records[200:])]))
+    assert folded == reference and merged == reference
+    assert list(folded[0]) == list(merged[0]) == list(reference[0])
+    _assert_matches_recount(folded[0], recount(records, mega))
+    mapped = region_map.entries if region_map else {}
+    assert folded[1].counts == recount_regions(
+        records, lambda code: mapped.get(code, "UNKNOWN"), mode == "country",
+        mega)
