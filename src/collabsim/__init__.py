@@ -8,34 +8,22 @@ summaries (boxplots, growth rates, scatter datasets). A seeded synthetic
 corpus generator supports desk-scale experiments.
 """
 
+import logging
 from importlib import import_module
 
-from .classify import (
-    CollabKind,
-    CollaborationType,
-    TypeCounts,
-    birc_share,
-    classify,
-)
-from .corpus import (
-    CorpusError,
-    CorpusStats,
-    PublicationRecord,
-    RecordError,
-    RegionMap,
-    RegionMapError,
-    ValidationPolicy,
-    iter_accepted,
-    load_region_map,
-    open_corpus,
-    parse_record,
-    record_to_line,
-    validate_corpus,
-)
+__version__ = "0.1.0"
 
-# The numpy-backed names load with their module on first access (PEP 562),
-# so importing the package, or running ``collabsim validate``, needs no numpy.
-_LAZY = {
+# warnings stay silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
+# Every public name, by the module that defines it.
+_PUBLIC = {
+    "classify": ("CollabKind", "CollaborationType", "TypeCounts", "birc_share",
+                 "classify"),
+    "corpus": ("CorpusError", "CorpusStats", "PublicationRecord", "RecordError",
+               "RegionMap", "RegionMapError", "ValidationPolicy",
+               "iter_accepted", "load_region_map", "open_corpus",
+               "parse_record", "record_to_line", "validate_corpus"),
     "aggregates": ("BoxplotStats", "GrowthRateResult", "RegionYearCounts",
                    "ScatterPoint", "ThresholdFlags", "birc_share_points",
                    "boxplot_stats", "growth_rate", "growth_table",
@@ -47,7 +35,9 @@ _LAZY = {
                    "world_baseline"),
     "synthgen": ("Scenario", "ScenarioError", "generate", "region_map_for"),
 }
-_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -58,57 +48,11 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoxplotStats",
-    "BuildConfig",
-    "CollabKind",
-    "CollaborationType",
-    "CorpusError",
-    "CorpusStats",
-    "CountryProfileSet",
-    "CountrySimilarityReport",
-    "Deviation",
-    "GrowthRateResult",
-    "INDICATORS",
-    "Profile",
-    "ProfileFold",
-    "PublicationRecord",
-    "RecordError",
-    "RegionMap",
-    "RegionMapError",
-    "RegionYearCounts",
-    "Scenario",
-    "ScenarioError",
-    "ScatterPoint",
-    "ThresholdFlags",
-    "TypeCounts",
-    "ValidationPolicy",
-    "WorldBaseline",
-    "accumulate",
-    "birc_share",
-    "birc_share_points",
-    "boxplot_stats",
-    "build_profiles",
-    "classify",
-    "cosine",
-    "deviation",
-    "dump_rows",
-    "five_indicators",
-    "generate",
-    "growth_rate",
-    "growth_table",
-    "iter_accepted",
-    "load_region_map",
-    "merge_tables",
-    "open_corpus",
-    "parse_record",
-    "record_to_line",
-    "region_boxplot",
-    "region_map_for",
-    "scatter_dataset",
-    "threshold_flags",
-    "validate_corpus",
-    "world_baseline",
-]
+# The names of classify and corpus load with the package. Each is bound
+# after its module loads, so ``classify`` is the function, not the
+# submodule. The numpy-backed names load with their module on first access
+# (PEP 562), so importing the package, or running ``collabsim validate``,
+# needs no numpy.
+for _name in _PUBLIC["classify"] + _PUBLIC["corpus"]:
+    __getattr__(_name)
+del _name

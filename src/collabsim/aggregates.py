@@ -8,7 +8,7 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -212,8 +212,8 @@ def growth_table(region_counts: RegionYearCounts,
         for kind in GROWTH_KINDS:
             result = growth_rate(region_counts.annual(region, kind), method)
             if result is not None:
-                out.append(GrowthRateResult(result.rate, method,
-                                            result.year_span, region, kind.value))
+                out.append(replace(result, region=region,
+                                   collab_type=kind.value))
     return out
 
 

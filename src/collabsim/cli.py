@@ -24,7 +24,6 @@ from .options import (
     run_validate,
 )
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 

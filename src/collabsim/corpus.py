@@ -567,12 +567,8 @@ def _line_start(fh, pos: int) -> int:
     """The offset just after the first newline byte at or after ``pos`` in
     the binary file ``fh``, or the end of the file."""
     fh.seek(pos)
-    while chunk := fh.read(1 << 16):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return pos
+    fh.readline()
+    return fh.tell()
 
 
 def _byte_ranges(path) -> list[tuple[int, int | None]]:

@@ -10,9 +10,9 @@ aggregate module.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -111,20 +111,15 @@ def run_validate(cfg: RunConfig, stream=None) -> int:
     return 0
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 class OutputStager:
-    """Write-all-then-rename output directory handling.
+    """Write-all-then-rename output directory handling, used as
+    ``with OutputStager(outdir) as stager:``.
 
-    Files are staged under temporary names; ``commit`` renames everything in
-    one pass, so a failed run never leaves partial outputs in place, and
-    ``abort`` also removes the directories the stager created, if empty.
+    Files are staged under temporary names. When the block ends cleanly
+    the stager commits: it renames everything in one pass. When the block
+    or the commit raises, it removes every staged file and every directory
+    it created that is left empty, and the exception propagates; so a
+    failed run never leaves partial outputs in place.
     """
 
     def __init__(self, outdir: Path):
@@ -132,6 +127,23 @@ class OutputStager:
         self._staged: list[tuple[Path, Path]] = []
         self._created: list[Path] = []  # in creation order, parents first
         self._make_dirs(self.outdir)
+
+    def __enter__(self) -> OutputStager:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.commit()
+        finally:  # after a commit nothing is left to remove
+            for temp, _ in self._staged:
+                temp.unlink(missing_ok=True)
+            for made in reversed(self._created):
+                try:
+                    made.rmdir()
+                except OSError:  # not empty: something else wrote into it
+                    pass
+            self._staged, self._created = [], []
 
     def _make_dirs(self, path: Path) -> None:
         """Create ``path`` and its missing parents, recording each one."""
@@ -164,30 +176,27 @@ class OutputStager:
             fh.write(text)
 
     def stage_csv(self, name: str, header: list[str], rows) -> None:
-        self.stage_text(name, _csv_text(header, rows))
+        with self.open(name) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     @property
     def staged_names(self) -> list[str]:
         return sorted(final.name for _, final in self._staged)
 
     def commit(self) -> None:
-        """Rename every staged file into place, or none if a target is a
-        directory."""
+        """Rename every staged file into place, or none if a target exists
+        and is not a regular file (a symlink counts as what it points to)."""
         for _, final in self._staged:
-            if final.is_dir():
+            try:
+                mode = final.stat().st_mode
+            except FileNotFoundError:
+                continue
+            if stat.S_ISDIR(mode):
                 raise IsADirectoryError(f"output is a directory: {final}")
+            if not stat.S_ISREG(mode):
+                raise OSError(f"output is not a regular file: {final}")
         for temp, final in self._staged:
             os.replace(temp, final)
-        self._staged, self._created = [], []
-
-    def abort(self) -> None:
-        """Remove every staged file, then every directory the stager
-        created that is empty, deepest first."""
-        for temp, _ in self._staged:
-            temp.unlink(missing_ok=True)
-        for made in reversed(self._created):
-            try:
-                made.rmdir()
-            except OSError:  # not empty: something else wrote into it
-                pass
         self._staged, self._created = [], []

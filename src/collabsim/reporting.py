@@ -243,13 +243,19 @@ def manifest_text(cfg: RunConfig, subcommand: str, result: PipelineResult,
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-_SUBCOMMAND_FILES = {
-    "profile": (PROFILES_CSV,),
-    "similarity": (COUNTRIES_CSV,),
-    "growth": (GROWTH_CSV,),
-    "aggregate": (REGIONS_CSV, FLAGGED_CSV, "scatter_*"),
-    "report": (COUNTRIES_CSV, REGIONS_CSV, GROWTH_CSV, FLAGGED_CSV, "scatter_*"),
-}
+def _csv_files(subcommand: str, result: PipelineResult, cfg: RunConfig):
+    """Yield (file name, header, rows) for each CSV file ``subcommand``
+    writes; ``report`` writes all but the profile dump."""
+    if subcommand == "profile":
+        yield PROFILES_CSV, *profiles_rows(result)
+    if subcommand in ("similarity", "report"):
+        yield COUNTRIES_CSV, *countries_rows(result.reports, result.baseline)
+    if subcommand in ("growth", "report"):
+        yield GROWTH_CSV, *growth_rows(result, cfg)
+    if subcommand in ("aggregate", "report"):
+        yield REGIONS_CSV, *regions_rows(result, cfg)
+        yield FLAGGED_CSV, *flagged_rows(result, cfg)
+        yield from scatter_files(result, cfg)
 
 
 def run_outputs(subcommand: str, cfg: RunConfig) -> int:
@@ -258,28 +264,9 @@ def run_outputs(subcommand: str, cfg: RunConfig) -> int:
     if cfg.regions is None:
         raise UsageError(f"{subcommand} requires --regions")
     result = run_pipeline(cfg)
-    wanted = _SUBCOMMAND_FILES[subcommand]
-    stager = OutputStager(cfg.out)
-    try:
-        if PROFILES_CSV in wanted:
-            stager.stage_csv(PROFILES_CSV, *profiles_rows(result))
-        if COUNTRIES_CSV in wanted:
-            stager.stage_csv(COUNTRIES_CSV,
-                             *countries_rows(result.reports, result.baseline))
-        if REGIONS_CSV in wanted:
-            stager.stage_csv(REGIONS_CSV, *regions_rows(result, cfg))
-        if GROWTH_CSV in wanted:
-            stager.stage_csv(GROWTH_CSV, *growth_rows(result, cfg))
-        if FLAGGED_CSV in wanted:
-            stager.stage_csv(FLAGGED_CSV, *flagged_rows(result, cfg))
-        if "scatter_*" in wanted:
-            for name, header, rows in scatter_files(result, cfg):
-                stager.stage_csv(name, header, rows)
-        names = stager.staged_names
-        stager.stage_text(MANIFEST_JSON,
-                          manifest_text(cfg, subcommand, result, names))
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
+    with OutputStager(cfg.out) as stager:
+        for name, header, rows in _csv_files(subcommand, result, cfg):
+            stager.stage_csv(name, header, rows)
+        stager.stage_text(MANIFEST_JSON, manifest_text(
+            cfg, subcommand, result, stager.staged_names))
     return 0

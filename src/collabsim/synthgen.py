@@ -640,16 +640,11 @@ def run_synth(scenario_path, out_path, regions_out=None) -> int:
     the directories it created for them."""
     scenario = Scenario.load(scenario_path)
     # the paths are relative to the working directory
-    stager = OutputStager(Path.cwd())
-    try:
+    with OutputStager(Path.cwd()) as stager:
         with stager.open(out_path) as fh:
             write_corpus(scenario, fh)
         if regions_out is not None:
             region_map = region_map_for(scenario.countries)
             rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]
             stager.stage_csv(regions_out, ["country", "region"], rows)
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
     return 0

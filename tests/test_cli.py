@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from dataclasses import fields
@@ -420,6 +422,60 @@ def test_synth_onto_a_directory_writes_nothing(tmp_path, capsys, existing):
     assert (target / "kept.txt").read_text() == "x"
 
 
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                reason="no named pipes on this platform")
+
+
+def _is_fifo(path):
+    return stat.S_ISFIFO(os.stat(path).st_mode)
+
+
+@needs_fifo
+@pytest.mark.parametrize("fifo", ["corpus", "regions"])
+def test_synth_onto_a_fifo_writes_nothing(tmp_path, capsys, fifo):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "n_countries": 4,
+                                    "pubs_per_country_year": 3}))
+    corpus, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+    target = corpus if fifo == "corpus" else regions
+    os.mkfifo(target)
+    before = _tree(tmp_path)
+    assert _run(["synth", "--scenario", scenario, "--out", corpus,
+                 "--regions-out", regions]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit_code"] == 2
+    assert "not a regular file" in json.loads(err[0])["error"]
+    assert _is_fifo(target)
+    assert _tree(tmp_path) == before
+
+
+@needs_fifo
+def test_report_onto_a_fifo_writes_nothing(inputs, tmp_path, capsys):
+    corpus, regions = inputs
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "countries.csv")
+    assert _run(["report", "--input", corpus, "--regions", regions,
+                 "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit_code"] == 2
+    assert _is_fifo(out / "countries.csv")
+    assert _tree(out) == ["countries.csv"]
+
+
+def test_report_replaces_a_symlink_to_a_regular_file(inputs, tmp_path):
+    corpus, regions = inputs
+    out, elsewhere = tmp_path / "out", tmp_path / "kept.csv"
+    out.mkdir()
+    elsewhere.write_text("x")
+    (out / "countries.csv").symlink_to(elsewhere)
+    assert _run(["report", "--input", corpus, "--regions", regions,
+                 "--out", out]) == 0
+    assert not (out / "countries.csv").is_symlink()
+    assert (out / "countries.csv").read_text().startswith("country,region,")
+    assert elsewhere.read_text() == "x"
+
+
 def test_synth_refuses_one_path_for_both_outputs(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"seed": 1, "n_countries": 4}))
@@ -463,13 +519,16 @@ def test_synth_failure_removes_the_directories_it_created(tmp_path, capsys,
     assert _tree(tmp_path) == ["scenario.json", "target"]
     # a created directory that something else wrote into is kept
     Path("old").mkdir()
-    stager = OutputStager(tmp_path)
-    stager.stage_text("old/new/a.txt", "x")
-    (tmp_path / "old" / "new" / "other.txt").write_text("y")
-    stager.abort()
+    with pytest.raises(KeyboardInterrupt):
+        with OutputStager(tmp_path) as stager:
+            stager.stage_text("old/new/a.txt", "x")
+            (tmp_path / "old" / "new" / "other.txt").write_text("y")
+            raise KeyboardInterrupt
     assert _tree(tmp_path / "old") == ["new", "new/other.txt"]
     # an analysis command's output directory goes the same way
-    OutputStager(tmp_path / "made" / "out").abort()
+    with pytest.raises(KeyboardInterrupt):
+        with OutputStager(tmp_path / "made" / "out"):
+            raise KeyboardInterrupt
     assert not (tmp_path / "made").exists()
 
 
@@ -496,10 +555,30 @@ def test_synth_loads_no_report_module(tmp_path):
 
 def test_every_public_name_resolves():
     import collabsim
+    import collabsim.classify  # noqa: F401 (the submodule, imported again)
     from collabsim import classify
     assert callable(classify)  # the function, not the submodule
     for name in collabsim.__all__:
         getattr(collabsim, name)
+
+
+@pytest.mark.parametrize("regions_text", ["", "country,region\n"],
+                         ids=["empty", "header_only"])
+def test_failing_run_with_an_entryless_region_map_prints_one_line(
+        tmp_path, regions_text):
+    # a child process: under pytest, logging has root handlers, so a
+    # warning that reaches stderr only through logging's last resort
+    # does not show in-process
+    corpus, regions = tmp_path / "bad.jsonl", tmp_path / "regions.csv"
+    corpus.write_bytes(b'{"id": "p1", "year": 2010\x00}\n')
+    regions.write_text(regions_text)
+    proc = subprocess.run([sys.executable, "-m", "collabsim", "validate",
+                           "--input", str(corpus), "--regions", str(regions),
+                           "--fail-fast"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, proc.stderr
+    assert json.loads(err[0])["exit_code"] == 2
 
 
 def test_module_entry_point():
