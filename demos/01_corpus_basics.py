@@ -36,6 +36,7 @@ print(f"  accepted ids: {accepted}")
 
 print("\nA fail-fast policy raises on the first defect instead:")
 try:
-    validate_corpus(LINES, policy=ValidationPolicy.fail_fast())
+    validate_corpus(LINES, policy=ValidationPolicy(fail_fast=True,
+                                                    unmapped_country="fail"))
 except Exception as exc:
     print(f"  CorpusError: {exc}")

@@ -69,7 +69,9 @@ def _add_analysis_args(sub: argparse.ArgumentParser,
     sub.add_argument("--scatter-region", metavar="REGION",
                      help="restrict scatter datasets to one region")
     sub.add_argument("--fail-fast", action="store_true",
-                     help="stop on the first corpus defect")
+                     help="stop at the first malformed line, year outside "
+                          "1900-2100, or missing subject or country; an "
+                          "unmapped record follows --unmapped-policy alone")
     sub.add_argument("--unmapped-policy", choices=UNMAPPED_ACTIONS,
                      help="how to treat countries missing from the region map")
 

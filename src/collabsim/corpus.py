@@ -28,7 +28,7 @@ import re
 import signal
 import stat
 import string
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator
@@ -40,15 +40,14 @@ DEFAULT_YEAR_WINDOW = (1900, 2100)
 # region of a country that no region map places
 UNKNOWN_REGION = "UNKNOWN"
 
-# defect-handling actions
+# the actions for a record with a country the region map lacks
 SKIP = "skip"
 FAIL = "fail"
 KEEP = "keep"
-_DEFECT_ACTIONS = (SKIP, FAIL)
 UNMAPPED_ACTIONS = (SKIP, KEEP, FAIL)
 
 # defect categories: RecordError carries the first three; each has a
-# ValidationPolicy action and a skipped_<category> counter in CorpusStats
+# skipped_<category> counter in CorpusStats
 MALFORMED = "malformed"
 MISSING_COUNTRY = "missing_country"
 MISSING_SUBJECT = "missing_subject"
@@ -410,35 +409,27 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class ValidationPolicy:
-    """Per-defect-class handling: ``skip`` (count and drop) or ``fail``.
+    """How a pass handles defects.
 
-    Unmapped countries additionally support ``keep``: accept the record and
-    let downstream stages put it in an unknown-region bucket. Any other
-    action raises :class:`ValueError`. Records whose year falls outside
-    ``DEFAULT_YEAR_WINDOW`` count as malformed (the window bounds plausible
-    calendar years, not the analysis period).
+    ``fail_fast`` stops the pass with :class:`CorpusError` at the first
+    malformed line, year outside ``DEFAULT_YEAR_WINDOW`` (plausible calendar
+    years, not the analysis period), or missing subject or country; when
+    false, each such line is counted and dropped. A record with a country
+    the region map lacks follows ``unmapped_country`` alone: ``skip`` (count
+    and drop), ``keep`` (accept; downstream stages put it in the unknown
+    region) or ``fail``. Other values raise TypeError or ValueError.
     """
 
-    malformed: str = SKIP
-    missing_country: str = SKIP
-    missing_subject: str = SKIP
+    fail_fast: bool = False
     unmapped_country: str = SKIP
 
-    @classmethod
-    def fail_fast(cls) -> "ValidationPolicy":
-        return cls(**dict.fromkeys(DEFECT_CATEGORIES, FAIL))
-
     def __post_init__(self) -> None:
-        for field in fields(self):
-            valid = (UNMAPPED_ACTIONS if field.name == UNMAPPED_COUNTRY
-                     else _DEFECT_ACTIONS)
-            action = getattr(self, field.name)
-            if action not in valid:
-                raise ValueError(f"unknown {field.name} action {action!r}; "
-                                 f"valid: {', '.join(valid)}")
-
-    def with_unmapped(self, action: str) -> "ValidationPolicy":
-        return replace(self, unmapped_country=action)
+        if type(self.fail_fast) is not bool:
+            raise TypeError(f"fail_fast must be a bool, not {self.fail_fast!r}")
+        if self.unmapped_country not in UNMAPPED_ACTIONS:
+            raise ValueError(f"unknown unmapped_country action "
+                             f"{self.unmapped_country!r}; "
+                             f"valid: {', '.join(UNMAPPED_ACTIONS)}")
 
 
 def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
@@ -458,6 +449,8 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     policy = policy or ValidationPolicy()
     stats = stats if stats is not None else CorpusStats()
     lo, hi = DEFAULT_YEAR_WINDOW
+    fail_fast = policy.fail_fast
+    fail_unmapped = policy.unmapped_country == FAIL
     mapped = (frozenset(region_map.entries)
               if region_map is not None and policy.unmapped_country != KEEP
               else None)
@@ -488,20 +481,20 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
             try:
                 row = _parse_row(line)
             except RecordError as exc:
-                if getattr(policy, exc.category) == FAIL:
+                if fail_fast:
                     raise CorpusError(exc.message, line_no) from exc
                 name = _SKIPPED_FIELD[exc.category]
                 setattr(stats, name, getattr(stats, name) + 1)
                 continue
         year = row[1]
         if not lo <= year <= hi:
-            if policy.malformed == FAIL:
+            if fail_fast:
                 raise CorpusError(f"year {year} outside accepted window "
                                   f"{lo}-{hi}", line_no)
             stats.skipped_malformed += 1
             continue
         if mapped is not None and not row[3] <= mapped:
-            if policy.unmapped_country == FAIL:
+            if fail_unmapped:
                 unmapped = sorted(row[3] - mapped)
                 raise CorpusError(f"unmapped countries {unmapped}", line_no)
             stats.skipped_unmapped_country += 1

@@ -86,9 +86,7 @@ class RunConfig:
             raise UsageError(f"unknown unmapped policy {self.unmapped_policy!r}")
 
     def policy(self) -> ValidationPolicy:
-        policy = (ValidationPolicy.fail_fast() if self.fail_fast
-                  else ValidationPolicy())
-        return policy.with_unmapped(self.unmapped_policy)
+        return ValidationPolicy(self.fail_fast, self.unmapped_policy)
 
     def public_dict(self) -> dict:
         """Every field, with the year window as one ``years`` pair and the

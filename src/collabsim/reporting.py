@@ -265,8 +265,34 @@ def run_outputs(subcommand: str, cfg: RunConfig) -> int:
         raise UsageError(f"{subcommand} requires --regions")
     result = run_pipeline(cfg)
     with OutputStager(cfg.out) as stager:
+        listed = _listed_csv(stager.outdir)
         for name, header, rows in _csv_files(subcommand, result, cfg):
             stager.stage_csv(name, header, rows)
+        outputs = stager.staged_names
         stager.stage_text(MANIFEST_JSON, manifest_text(
-            cfg, subcommand, result, stager.staged_names))
+            cfg, subcommand, result, outputs))
+    # only after the new manifest's rename: the manifest in place never
+    # lists a missing file, and a crash here leaves unlisted files only
+    for name in listed.difference(outputs):
+        try:
+            (stager.outdir / name).unlink()
+        except (OSError, ValueError):  # gone, not a file, or a NUL byte
+            pass
     return 0
+
+
+def _listed_csv(outdir: Path) -> set[str]:
+    """The CSV files the manifest in ``outdir`` lists, which a commit there
+    that does not write them again removes. Only plain ``.csv`` file names
+    count; a manifest that is not a regular file (a FIFO would block the
+    read) or does not parse lists none."""
+    path = outdir / MANIFEST_JSON
+    try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            return set()
+        listed = json.loads(path.read_bytes())["outputs"]
+        return {name for name in listed
+                if type(name) is str and name.endswith(".csv")
+                and Path(name).name == name}
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return set()

@@ -1,6 +1,7 @@
 """The command line contract under arbitrary inputs and flags: every run
 exits 0, 1 or 2 without a traceback; a failing run prints exactly one JSON
-line on stderr; an output directory holds a complete commit or nothing."""
+line on stderr; an output directory holds a complete commit or nothing, and
+a reused one holds exactly the last commit."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collabsim.cli import main
 
@@ -95,3 +96,89 @@ def test_every_run_keeps_the_exit_and_output_contract(command, corpus,
             assert written == sorted(["manifest.json", *manifest["outputs"]])
         else:
             assert written == []
+
+
+ANALYSIS_COMMANDS = COMMANDS[1:]
+
+# a corpus and region map every analysis command gets through
+GOOD_CORPUS = b"""\
+{"id": "p1", "year": 2010, "subjects": ["PHYS"], "countries": ["NL"]}
+{"id": "p2", "year": 2011, "subjects": ["PHYS", "CHEM"], "countries": ["NL", "ES"]}
+{"id": "p3", "year": 2012, "subjects": ["CHEM"], "countries": ["ES", "ZA", "NL"]}
+{"id": "p4", "year": 2010, "subjects": ["BIO"], "countries": ["ZA"]}
+{"id": "p5", "year": 2011, "subjects": ["PHYS"], "countries": ["ES"]}
+{"id": "p6", "year": 2012, "subjects": ["BIO", "CHEM"], "countries": ["ZA", "NL"]}
+"""
+GOOD_REGIONS = b"country,region\nNL,Europe\nES,Europe\nZA,Africa\n"
+
+
+def _main(args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main([str(arg) for arg in args])
+
+
+def _files(out: Path) -> dict:
+    return ({path.name: path.read_bytes() for path in out.iterdir()}
+            if out.exists() else {})
+
+
+def _assert_one_commit(out: Path) -> None:
+    """``out`` holds exactly its manifest and the outputs it lists."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(os.listdir(out)) == sorted(["manifest.json",
+                                              *manifest["outputs"]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(commands=st.lists(st.sampled_from(ANALYSIS_COMMANDS), min_size=2,
+                         max_size=2),
+       corpus=st.one_of(st.just(GOOD_CORPUS), CORPUS),
+       region_map=st.one_of(st.just(GOOD_REGIONS), REGION_MAP),
+       flags=st.lists(FLAGS, min_size=2, max_size=2))
+@example(commands=["report", "growth"], corpus=GOOD_CORPUS,
+         region_map=GOOD_REGIONS, flags=[[], []])
+def test_a_reused_out_holds_exactly_the_last_commit(commands, corpus,
+                                                    region_map, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_bytes(corpus)
+        (tmp / "regions.csv").write_bytes(region_map)
+        out = tmp / "out"
+        for command, command_flags in zip(commands, flags):
+            before = _files(out)
+            code = _main([command, "--input", tmp / "corpus.jsonl",
+                          "--regions", tmp / "regions.csv", "--out", out,
+                          *command_flags])
+            if code == 0:
+                _assert_one_commit(out)
+            else:
+                assert _files(out) == before
+
+
+def test_a_reused_out_removes_only_listed_csv_files(tmp_path):
+    (tmp_path / "corpus.jsonl").write_bytes(GOOD_CORPUS)
+    (tmp_path / "regions.csv").write_bytes(GOOD_REGIONS)
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "victim.csv").write_text("kept\n")
+    for name in ("notes.txt", "stale.csv"):
+        (out / name).write_text("old\n")
+    (out / "manifest.json").write_text(json.dumps(
+        {"outputs": ["../victim.csv", "notes.txt", "stale.csv"]}))
+    assert _main(["growth", "--input", tmp_path / "corpus.jsonl",
+                  "--regions", tmp_path / "regions.csv", "--out", out]) == 0
+    assert (tmp_path / "victim.csv").read_text() == "kept\n"
+    assert sorted(os.listdir(out)) == ["growth.csv", "manifest.json",
+                                       "notes.txt"]
+
+
+def test_a_fifo_manifest_is_not_read(tmp_path):
+    (tmp_path / "corpus.jsonl").write_bytes(GOOD_CORPUS)
+    (tmp_path / "regions.csv").write_bytes(GOOD_REGIONS)
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "manifest.json")
+    assert _main(["growth", "--input", tmp_path / "corpus.jsonl",
+                  "--regions", tmp_path / "regions.csv", "--out", out]) == 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]

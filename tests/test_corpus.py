@@ -131,7 +131,7 @@ def test_fast_path_takes_only_canonical_lines():
             (canonical + "\r\n", False)):
         assert bool(layout(line)) is matches, line
         records, stats, _ = _checked_reference(
-            [line], set(), ValidationPolicy().with_unmapped("keep"))
+            [line], set(), ValidationPolicy(unmapped_country="keep"))
         assert list(iter_accepted([line])) == records, line
         assert validate_corpus([line]) == stats, line
 
@@ -344,7 +344,7 @@ def test_validate_counts_unmapped(tmp_path):
 
 def test_validate_keep_unmapped(tmp_path):
     lines = ['{"id":"u","year":2010,"subjects":["A"],"countries":["XX"]}']
-    policy = ValidationPolicy().with_unmapped("keep")
+    policy = ValidationPolicy(unmapped_country="keep")
     stats = CorpusStats()
     records = list(iter_accepted(lines, _region_map_nl(tmp_path), policy, stats))
     assert len(records) == 1
@@ -352,29 +352,33 @@ def test_validate_keep_unmapped(tmp_path):
     assert stats.skipped_unmapped_country == 0
 
 
-def test_with_unmapped_rejects_unknown_action():
+def test_validation_policy_rejects_bad_values():
+    # a caller porting the per-category fields must not escalate silently
+    for fail_fast in ("skip", "fail", 1, None):
+        with pytest.raises(TypeError, match="fail_fast"):
+            ValidationPolicy(fail_fast=fail_fast)
     for action in ("kep", "FAIL", ""):
-        with pytest.raises(ValueError, match="unmapped"):
-            ValidationPolicy().with_unmapped(action)
-
-
-def test_validation_policy_rejects_unknown_actions():
-    for field, action in (("malformed", "FAIL"), ("missing_subject", "keep"),
-                          ("missing_country", ""), ("unmapped_country", "kep")):
-        with pytest.raises(ValueError, match=field):
-            ValidationPolicy(**{field: action})
+        with pytest.raises(ValueError, match="unknown unmapped_country action"):
+            ValidationPolicy(unmapped_country=action)
 
 
 def test_validate_fail_fast(tmp_path):
     lines = [GOOD % 1, "garbage"]
     with pytest.raises(CorpusError, match="line 2"):
-        validate_corpus(lines, _region_map_nl(tmp_path), ValidationPolicy.fail_fast())
+        validate_corpus(lines, _region_map_nl(tmp_path),
+                        ValidationPolicy(fail_fast=True))
 
 
 def test_validate_fail_fast_on_unmapped(tmp_path):
     lines = ['{"id":"u","year":2010,"subjects":["A"],"countries":["XX"]}']
-    with pytest.raises(CorpusError, match="unmapped"):
-        validate_corpus(lines, _region_map_nl(tmp_path), ValidationPolicy.fail_fast())
+    for fail_fast in (False, True):
+        with pytest.raises(CorpusError, match="unmapped"):
+            validate_corpus(lines, _region_map_nl(tmp_path), ValidationPolicy(
+                fail_fast=fail_fast, unmapped_country="fail"))
+    # fail_fast alone leaves an unmapped record to the unmapped action
+    stats = validate_corpus(lines, _region_map_nl(tmp_path),
+                            ValidationPolicy(fail_fast=True))
+    assert stats.skipped_unmapped_country == 1
 
 
 def test_validate_year_window():
@@ -388,7 +392,8 @@ def test_validate_year_window():
 def test_validate_fail_fast_year_window(tmp_path):
     lines = [GOOD % 1, '{"id":"a","year":1850,"subjects":["A"],"countries":["NL"]}']
     with pytest.raises(CorpusError) as err:
-        validate_corpus(lines, _region_map_nl(tmp_path), ValidationPolicy.fail_fast())
+        validate_corpus(lines, _region_map_nl(tmp_path),
+                        ValidationPolicy(fail_fast=True))
     assert str(err.value) == "line 2: year 1850 outside accepted window 1900-2100"
 
 
@@ -416,7 +421,7 @@ def test_accounting_identity(lines):
     # XX is a valid code the map leaves unmapped: keeping it reproduces the
     # counters without a map, skipping drops exactly the records holding it
     region_map = RegionMap({"NL": "Europe", "ES": "Europe"})
-    keep = ValidationPolicy().with_unmapped("keep")
+    keep = ValidationPolicy(unmapped_country="keep")
     assert validate_corpus(lines, region_map, keep) == stats
     everything = list(iter_accepted(lines))
     skip_stats = CorpusStats()
@@ -499,13 +504,13 @@ def _checked_reference(lines, mapped, policy):
         try:
             record = parse_reference(line, line_no)
         except RecordError as exc:
-            if getattr(policy, exc.category) == "fail":
+            if policy.fail_fast:
                 return records, stats, str(exc)
             name = f"skipped_{exc.category}"
             setattr(stats, name, getattr(stats, name) + 1)
             continue
         if not 1900 <= record.year <= 2100:
-            if policy.malformed == "fail":
+            if policy.fail_fast:
                 return records, stats, (f"line {line_no}: year {record.year} "
                                         "outside accepted window 1900-2100")
             stats.skipped_malformed += 1
@@ -560,9 +565,10 @@ def _assert_table_matches(table, reference):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(_CANONICAL_LINE, _near_valid_line(), _LINE, _NOISE),
                 max_size=25),
-       st.sampled_from(["skip", "keep", "fail"]), st.sampled_from([None, 3]),
-       st.sampled_from(["dedup", "country"]))
-def test_accepting_loop_matches_checked_reference(lines, action, mega, counting):
+       st.booleans(), st.sampled_from(["skip", "keep", "fail"]),
+       st.sampled_from([None, 3]), st.sampled_from(["dedup", "country"]))
+def test_accepting_loop_matches_checked_reference(lines, fail_fast, action,
+                                                  mega, counting):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
@@ -573,7 +579,7 @@ def test_accepting_loop_matches_checked_reference(lines, action, mega, counting)
         with open_corpus(path) as fh:
             lines = fh.readlines()  # as the pipeline reads them
         cfg = RunConfig(path, regions, Path(tmp) / "out", mega_threshold=mega,
-                        region_counting=counting, fail_fast=action == "fail",
+                        region_counting=counting, fail_fast=fail_fast,
                         unmapped_policy=action)
         region_map, policy = load_region_map(regions), cfg.policy()
         # XX is a valid code the map leaves unmapped
@@ -668,10 +674,9 @@ _SPELLED_LINE = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.one_of(_LAYOUT_LINE, _SPELLED_LINE,
                           _LINE.map(lambda l: l + "\n")), max_size=40),
-       st.sampled_from(["skip", "keep", "fail"]))
-def test_layout_recogniser_matches_checked_reference(lines, action):
-    policy = (ValidationPolicy.fail_fast() if action == "fail"
-              else ValidationPolicy()).with_unmapped(action)
+       st.booleans(), st.sampled_from(["skip", "keep", "fail"]))
+def test_layout_recogniser_matches_checked_reference(lines, fail_fast, action):
+    policy = ValidationPolicy(fail_fast, action)
     region_map = RegionMap({"NL": "North", "ES": "South"})
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "corpus.jsonl"
