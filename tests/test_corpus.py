@@ -352,14 +352,24 @@ def test_validate_keep_unmapped(tmp_path):
     assert stats.skipped_unmapped_country == 0
 
 
-def test_validation_policy_rejects_bad_values():
-    # a caller porting the per-category fields must not escalate silently
-    for fail_fast in ("skip", "fail", 1, None):
-        with pytest.raises(TypeError, match="fail_fast"):
-            ValidationPolicy(fail_fast=fail_fast)
+def test_with_unmapped_rejects_unknown_action():
+    # the unmapped action is set by the constructor alone
     for action in ("kep", "FAIL", ""):
         with pytest.raises(ValueError, match="unknown unmapped_country action"):
             ValidationPolicy(unmapped_country=action)
+
+
+def test_validation_policy_rejects_unknown_actions():
+    # a caller porting the per-category fields must not escalate silently:
+    # the fields are gone, and an action string is not a fail_fast bool
+    for field in ("malformed", "missing_subject", "missing_country"):
+        with pytest.raises(TypeError, match=field):
+            ValidationPolicy(**{field: "fail"})
+    for fail_fast in ("skip", "fail", 1, None):
+        with pytest.raises(TypeError, match="fail_fast"):
+            ValidationPolicy(fail_fast=fail_fast)
+    with pytest.raises(ValueError, match="unmapped_country"):
+        ValidationPolicy(unmapped_country="kep")
 
 
 def test_validate_fail_fast(tmp_path):
