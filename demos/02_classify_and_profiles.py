@@ -31,8 +31,8 @@ print("\nBuilding the per-country profile table:")
 table = build_profiles(RECORDS)
 for country in sorted(table):
     ps = table[country]
-    disc = {fam: dict(p.counts) for fam, p in ps.disciplinary.items() if not p.is_empty}
-    part = {fam: dict(p.counts) for fam, p in ps.partner.items() if not p.is_empty}
+    disc = {fam: p for fam, p in ps.disciplinary.items() if p}
+    part = {fam: p for fam, p in ps.partner.items() if p}
     print(f"  {country}: disciplinary {disc}")
     print(f"      partner {part}")
     print(f"      counts dom={ps.pub_counts.n_domestic} birc={ps.pub_counts.n_bilateral} "
@@ -53,5 +53,5 @@ print(f"  21 countries, threshold off: {classify(big).kind.value}")
 print(f"  21 countries, threshold 20:  {classify(big, mega_threshold=20).kind.value}")
 mega_table = build_profiles(RECORDS + [big], BuildConfig(mega_threshold=20))
 nl = mega_table["AA"]
-print(f"  AA mega profile: {dict(nl.disciplinary['mega'].counts)}, "
-      f"mirc untouched: {dict(nl.disciplinary['mirc'].counts)}")
+print(f"  AA mega profile: {nl.disciplinary['mega']}, "
+      f"mirc untouched: {nl.disciplinary['mirc']}")

@@ -15,7 +15,6 @@ from collabsim import (
     five_indicators,
     world_baseline,
 )
-from collabsim.profiles import Profile, SUBJECT_SPACE
 
 
 def rec(rid, year, subjects, countries):
@@ -29,7 +28,7 @@ pairs = [
     ({"s1": 2}, {"s2": 5}),
 ]
 for a, b in pairs:
-    value = cosine(Profile(SUBJECT_SPACE, a), Profile(SUBJECT_SPACE, b))
+    value = cosine(a, b)
     print(f"  cos({a}, {b}) = {value}")
 
 RECORDS = [

@@ -28,8 +28,8 @@ _PUBLIC = {
                    "ScatterPoint", "ThresholdFlags", "birc_share_points",
                    "boxplot_stats", "growth_rate", "growth_table",
                    "region_boxplot", "scatter_dataset", "threshold_flags"),
-    "profiles": ("BuildConfig", "CountryProfileSet", "Profile", "ProfileFold",
-                 "accumulate", "build_profiles", "dump_rows", "merge_tables"),
+    "profiles": ("BuildConfig", "CountryProfileSet", "ProfileFold", "accumulate",
+                 "build_profiles", "dump_rows", "merge_tables"),
     "similarity": ("INDICATORS", "CountrySimilarityReport", "Deviation",
                    "WorldBaseline", "cosine", "deviation", "five_indicators",
                    "world_baseline"),

@@ -12,7 +12,7 @@ integer count arrays. :func:`accumulate` is the per-record path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator
 
@@ -22,9 +22,6 @@ from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
 from .classify import (_KINDS, CollaborationType, TypeCounts,
                        check_mega_threshold, kind_index)
 from .corpus import PublicationRecord, RegionMap, region_of
-
-SUBJECT_SPACE = "subject"
-PARTNER_SPACE = "partner"
 
 DOMESTIC = "domestic"
 INTERNATIONAL = "international"
@@ -40,45 +37,13 @@ _KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
 _FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
 
 
-@dataclass
-class Profile:
-    """Sparse non-negative count vector over one dimension namespace.
-
-    Zero counts are never stored, so equality means identical support and
-    counts. The namespace tag ("subject" or "partner") guards against
-    comparing vectors from different key spaces.
-    """
-
-    namespace: str
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.counts
-
-    def increment(self, key: str, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError("profile counts are non-negative")
-        if by:
-            self.counts[key] = self.counts.get(key, 0) + by
-
-    def merge(self, other: "Profile") -> "Profile":
-        if self.namespace != other.namespace:
-            raise ValueError(
-                f"namespace mismatch: {self.namespace!r} vs {other.namespace!r}")
-        merged = dict(self.counts)
-        for key, n in other.counts.items():
-            merged[key] = merged.get(key, 0) + n
-        return Profile(self.namespace, merged)
-
-    __add__ = merge
-
-    def sorted_items(self) -> list[tuple[str, int]]:
-        return sorted(self.counts.items())
+def _summed(*profiles: dict[str, int]) -> dict[str, int]:
+    """The key-wise sum of count profiles."""
+    total = dict(profiles[0])
+    for profile in profiles[1:]:
+        for key, n in profile.items():
+            total[key] = total.get(key, 0) + n
+    return total
 
 
 @dataclass
@@ -87,21 +52,23 @@ class CountryProfileSet:
 
     ``disciplinary`` holds subject-count profiles per collaboration family
     (domestic, pooled international, birc, mirc, mega); ``partner`` holds
-    partner-country counts for the international families. The mega buckets
-    stay empty unless the mega class was enabled during classification.
+    partner-country counts for the international families. Each profile is
+    a plain ``{code: count}`` dict that never stores a zero count, so
+    equality means identical support and counts. The mega buckets stay
+    empty unless the mega class was enabled during classification.
     """
 
     country: str
-    disciplinary: dict[str, Profile]
-    partner: dict[str, Profile]
+    disciplinary: dict[str, dict[str, int]]
+    partner: dict[str, dict[str, int]]
     pub_counts: TypeCounts
 
     @classmethod
     def empty(cls, country: str) -> "CountryProfileSet":
         return cls(
             country=country,
-            disciplinary={f: Profile(SUBJECT_SPACE) for f in DISC_FAMILIES},
-            partner={f: Profile(PARTNER_SPACE) for f in PARTNER_FAMILIES},
+            disciplinary={f: {} for f in DISC_FAMILIES},
+            partner={f: {} for f in PARTNER_FAMILIES},
             pub_counts=TypeCounts(),
         )
 
@@ -111,9 +78,9 @@ class CountryProfileSet:
                 f"cannot merge profiles of {self.country} and {other.country}")
         return CountryProfileSet(
             country=self.country,
-            disciplinary={f: self.disciplinary[f] + other.disciplinary[f]
+            disciplinary={f: _summed(self.disciplinary[f], other.disciplinary[f])
                           for f in DISC_FAMILIES},
-            partner={f: self.partner[f] + other.partner[f]
+            partner={f: _summed(self.partner[f], other.partner[f])
                      for f in PARTNER_FAMILIES},
             pub_counts=self.pub_counts + other.pub_counts,
         )
@@ -123,12 +90,9 @@ class CountryProfileSet:
     def decomposition_ok(self) -> bool:
         """Check the sum identities: birc + mirc + mega == international for
         both profile families, and the country never partners itself."""
-        disc_sum = (self.disciplinary[BIRC] + self.disciplinary[MIRC]
-                    + self.disciplinary[MEGA])
-        part_sum = self.partner[BIRC] + self.partner[MIRC] + self.partner[MEGA]
-        return (disc_sum == self.disciplinary[INTERNATIONAL]
-                and part_sum == self.partner[INTERNATIONAL]
-                and self.country not in self.partner[INTERNATIONAL].counts)
+        return (all(_summed(p[BIRC], p[MIRC], p[MEGA]) == p[INTERNATIONAL]
+                    for p in (self.disciplinary, self.partner))
+                and self.country not in self.partner[INTERNATIONAL])
 
 
 def accumulate(table: dict[str, CountryProfileSet], record: PublicationRecord,
@@ -148,16 +112,16 @@ def accumulate(table: dict[str, CountryProfileSet], record: PublicationRecord,
         disc = ps.disciplinary[family]
         disc_int = ps.disciplinary[INTERNATIONAL]
         for subject in record.subjects:
-            disc.increment(subject)
+            disc[subject] = disc.get(subject, 0) + 1
             if international:
-                disc_int.increment(subject)
+                disc_int[subject] = disc_int.get(subject, 0) + 1
         if international:
             part = ps.partner[family]
             part_int = ps.partner[INTERNATIONAL]
             for partner in record.countries:
                 if partner != country:
-                    part.increment(partner)
-                    part_int.increment(partner)
+                    part[partner] = part.get(partner, 0) + 1
+                    part_int[partner] = part_int.get(partner, 0) + 1
         ps.pub_counts.add(ctype.kind)
 
 
@@ -228,10 +192,11 @@ def _distinct_sets(ids: _Ids, sets: list) -> tuple[np.ndarray, ...]:
             _remap(ids, list(chain.from_iterable(index))))
 
 
-def _profile(namespace: str, row: np.ndarray, names: list[str]) -> Profile:
+def _profile(row: np.ndarray, names: list[str]) -> dict[str, int]:
+    """The nonzero cells of ``row`` as a ``{name: count}`` profile."""
     nonzero = np.flatnonzero(row)
-    return Profile(namespace, dict(zip([names[j] for j in nonzero.tolist()],
-                                       row[nonzero].tolist())))
+    return dict(zip([names[j] for j in nonzero.tolist()],
+                    row[nonzero].tolist()))
 
 
 class ProfileFold:
@@ -386,14 +351,12 @@ class ProfileFold:
             table[country] = CountryProfileSet(
                 country=country,
                 disciplinary={
-                    INTERNATIONAL: _profile(SUBJECT_SPACE, disc[1:].sum(axis=0),
-                                            subjects),
-                    **{family: _profile(SUBJECT_SPACE, disc[j], subjects)
+                    INTERNATIONAL: _profile(disc[1:].sum(axis=0), subjects),
+                    **{family: _profile(disc[j], subjects)
                        for j, family in enumerate(_KIND_FAMILIES)}},
                 partner={
-                    INTERNATIONAL: _profile(PARTNER_SPACE, part[1:].sum(axis=0),
-                                            countries),
-                    **{family: _profile(PARTNER_SPACE, part[j], countries)
+                    INTERNATIONAL: _profile(part[1:].sum(axis=0), countries),
+                    **{family: _profile(part[j], countries)
                        for j, family in enumerate(_KIND_FAMILIES) if j}},
                 pub_counts=TypeCounts(*pubs[i]),
             )
@@ -451,5 +414,5 @@ def dump_rows(table: dict[str, CountryProfileSet],
         for family_name, profiles in (("disciplinary", ps.disciplinary),
                                       ("partner", ps.partner)):
             for collab in sorted(profiles):
-                for dimension, count in profiles[collab].sorted_items():
+                for dimension, count in sorted(profiles[collab].items()):
                     yield country, family_name, collab, dimension, count

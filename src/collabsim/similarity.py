@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import UNKNOWN_REGION, RegionMap, region_of  # noqa: F401 (re-export)
-from .profiles import BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet, Profile
+from .profiles import BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet
 
 INDICATORS = (
     "sim_dom_int",
@@ -29,24 +29,22 @@ AT = "at"
 UNDEFINED = "undefined"
 
 
-def cosine(p: Profile, q: Profile) -> float | None:
-    """Cosine similarity of two count profiles, or None if either is empty.
+def cosine(p: dict[str, int], q: dict[str, int]) -> float | None:
+    """Cosine similarity of two ``{code: count}`` profiles, or None if
+    either is empty.
 
     Counts are integers, so the dot product and squared norms are exact and
     independent of key order; only the final division rounds.
     """
-    if p.namespace != q.namespace:
-        raise ValueError(
-            f"namespace mismatch: {p.namespace!r} vs {q.namespace!r}")
-    if p.is_empty or q.is_empty:
+    if not p or not q:
         return None
     dot = 0
-    for key, v in p.counts.items():
-        w = q.counts.get(key)
+    for key, v in p.items():
+        w = q.get(key)
         if w:
             dot += v * w
-    norm2_p = sum(v * v for v in p.counts.values())
-    norm2_q = sum(w * w for w in q.counts.values())
+    norm2_p = sum(v * v for v in p.values())
+    norm2_q = sum(w * w for w in q.values())
     value = dot / math.sqrt(norm2_p * norm2_q)
     # Cauchy-Schwarz holds exactly on the integer side; clamp the one
     # rounding step so proportional profiles report exactly 1.

@@ -18,7 +18,7 @@ from collabsim.classify import CollabKind, classify
 from collabsim.cli import main
 from collabsim.corpus import PublicationRecord, record_to_line
 from collabsim.aggregates import CAGR, LOGLINEAR, growth_rate, threshold_flags
-from collabsim.profiles import Profile, SUBJECT_SPACE, build_profiles, merge_tables
+from collabsim.profiles import build_profiles, merge_tables
 from collabsim.reporting import RunConfig, run_pipeline
 from collabsim.similarity import INDICATORS, cosine
 from collabsim.synthgen import (
@@ -62,13 +62,13 @@ def test_criterion_1_cosine_property_suite(verdict):
     for trial in range(10_000):
         a = {k: rng.randint(1, 10_000) for k in rng.sample(keys, rng.randint(1, 8))}
         b = {k: rng.randint(1, 10_000) for k in rng.sample(keys, rng.randint(1, 8))}
-        pa, pb = Profile(SUBJECT_SPACE, a), Profile(SUBJECT_SPACE, b)
+        pa, pb = a, b
         value = cosine(pa, pb)
         assert 0.0 - SIM_TOL <= value <= 1.0 + SIM_TOL
         assert cosine(pb, pa) == value  # symmetry, exact
         assert abs(cosine(pa, pa) - 1.0) <= SIM_TOL
         scale = rng.randint(2, 17)
-        scaled = Profile(SUBJECT_SPACE, {k: scale * v for k, v in a.items()})
+        scaled = {k: scale * v for k, v in a.items()}
         assert abs(cosine(scaled, pb) - value) <= SIM_TOL
         worst = max(worst, abs(value - cosine_ref(a, b)))
     elapsed = time.perf_counter() - started

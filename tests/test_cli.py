@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from collabsim.cli import _config, build_parser, main
+from collabsim.corpus import _byte_ranges
 from collabsim.reporting import OutputStager, RunConfig
+
+from oracle import DISC_FAMILIES, PART_FAMILIES, parse_reference, recount
 
 CORPUS = """\
 {"id":"p1","year":2010,"subjects":["PHYS"],"countries":["NL"]}
@@ -309,6 +312,38 @@ def test_profile_dump(inputs, tmp_path):
     assert lines[0] == "country,profile_family,collab_type,dimension,count"
     assert "NL,disciplinary,birc,PHYS,2" in lines
     assert "NL,partner,mirc,ZA,1" in lines
+
+
+def test_profile_dump_equals_the_recount(tmp_path, monkeypatch):
+    """Every row of profiles.csv, folded in several byte ranges, is a
+    nonzero count of the brute-force recount, and every such count is a row."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 18, "n_countries": 8, "n_subjects": 6,
+                                    "pubs_per_country_year": 4,
+                                    "years": [2010, 2012]}))
+    path, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+    assert _run(["synth", "--scenario", scenario, "--out", path,
+                 "--regions-out", regions]) == 0
+    monkeypatch.setattr("collabsim.corpus.SHARD_MIN_BYTES", 256)
+    monkeypatch.setattr("collabsim.corpus.SHARD_WORKERS", 3)
+    assert len(_byte_ranges(path)) == 3
+    out = tmp_path / "out"
+    assert _run(["profile", "--input", path, "--regions", regions,
+                 "--out", out, "--mega-threshold", 4]) == 0
+
+    with open(path, encoding="utf-8") as fh:
+        records = [parse_reference(line) for line in fh]
+    expected = sorted(
+        (country, name, family, code, n)
+        for country, entry in recount(records, mega_threshold=4).items()
+        for name, key in (("disciplinary", "disc"), ("partner", "part"))
+        for family, counts in entry[key].items()
+        for code, n in counts.items() if n)
+    lines = (out / "profiles.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(map(str, row)) for row in expected]
+    assert {row[1:3] for row in expected} == {
+        *(("disciplinary", f) for f in DISC_FAMILIES),
+        *(("partner", f) for f in PART_FAMILIES)}
 
 
 def test_year_filter_counts_filtered_records(inputs, tmp_path):

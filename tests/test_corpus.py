@@ -3,6 +3,7 @@ import json
 import random
 import tempfile
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -503,6 +504,31 @@ def test_iter_accepted_streams_with_stats():
     assert all(rec.countries == frozenset({"NL"}) for rec in seen)
 
 
+# _LINE's lines, some respelled in the compact layout
+_LINES_BOTH_PATHS = st.lists(st.tuples(_LINE, st.booleans()).map(
+    lambda t: t[0].replace(", ", ",").replace(": ", ":") if t[1] else t[0]),
+    max_size=30)
+
+
+@given(_LINES_BOTH_PATHS, st.integers(0, 30))
+def test_iter_accepted_stopped_early_counts_the_consumed_prefix(lines, k):
+    """Stopped after k records, ``stats`` holds validate's counters over
+    the lines up to the k-th accepted one."""
+    region_map = RegionMap({"NL": "Europe", "ES": "Europe"})
+    stats = CorpusStats()
+    taken = list(islice(iter_accepted(lines, region_map, stats=stats), k))
+    accepted_at = [i for i, line in enumerate(lines)
+                   if validate_corpus([line], region_map).accepted]
+    assert len(taken) == min(k, len(accepted_at))
+    if k == 0:
+        end = 0
+    elif k <= len(accepted_at):
+        end = accepted_at[k - 1] + 1
+    else:
+        end = len(lines)
+    assert stats == validate_corpus(lines[:end], region_map)
+
+
 # --- the accepting loop against a per-line checked reference --------------
 
 def _checked_reference(lines, mapped, policy):
@@ -563,9 +589,9 @@ def _assert_table_matches(table, reference):
     for country, ps in table.items():
         ref = reference[country]
         for family, profile in ps.disciplinary.items():
-            assert profile.counts == dict(ref["disc"][family])
+            assert profile == dict(ref["disc"][family])
         for family, profile in ps.partner.items():
-            assert profile.counts == dict(ref["part"][family])
+            assert profile == dict(ref["part"][family])
         assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
         assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
         assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]

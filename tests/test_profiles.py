@@ -16,11 +16,8 @@ from collabsim.profiles import (
     FLUSH_PAIRS,
     INTERNATIONAL,
     MIRC,
-    PARTNER_SPACE,
-    SUBJECT_SPACE,
     BuildConfig,
     CountryProfileSet,
-    Profile,
     ProfileFold,
     accumulate,
     build_profiles,
@@ -40,11 +37,11 @@ def test_accumulate_bilateral():
     rec = _rec("p", {"PHYS"}, {"NL", "ES"})
     accumulate(table, rec, classify(rec))
     nl, es = table["NL"], table["ES"]
-    assert nl.disciplinary[BIRC].counts == {"PHYS": 1}
-    assert nl.disciplinary[INTERNATIONAL].counts == {"PHYS": 1}
-    assert nl.partner[BIRC].counts == {"ES": 1}
-    assert es.disciplinary[BIRC].counts == {"PHYS": 1}
-    assert es.partner[BIRC].counts == {"NL": 1}
+    assert nl.disciplinary[BIRC] == {"PHYS": 1}
+    assert nl.disciplinary[INTERNATIONAL] == {"PHYS": 1}
+    assert nl.partner[BIRC] == {"ES": 1}
+    assert es.disciplinary[BIRC] == {"PHYS": 1}
+    assert es.partner[BIRC] == {"NL": 1}
     assert nl.pub_counts.n_bilateral == 1
 
 
@@ -53,9 +50,9 @@ def test_accumulate_domestic_multi_subject():
     rec = _rec("p", {"PHYS", "CHEM"}, {"NL"})
     accumulate(table, rec, classify(rec))
     nl = table["NL"]
-    assert nl.disciplinary[DOMESTIC].counts == {"PHYS": 1, "CHEM": 1}
-    assert nl.disciplinary[INTERNATIONAL].is_empty
-    assert all(p.is_empty for p in nl.partner.values())
+    assert nl.disciplinary[DOMESTIC] == {"PHYS": 1, "CHEM": 1}
+    assert not nl.disciplinary[INTERNATIONAL]
+    assert all(not p for p in nl.partner.values())
 
 
 def test_accumulate_multilateral_partner_increments():
@@ -65,10 +62,10 @@ def test_accumulate_multilateral_partner_increments():
     total_partner_increments = 0
     for code in ("NL", "ES", "ZA"):
         ps = table[code]
-        assert ps.disciplinary[MIRC].counts == {"BIO": 1}
-        assert ps.partner[MIRC].total == 2
-        assert code not in ps.partner[MIRC].counts
-        total_partner_increments += ps.partner[MIRC].total
+        assert ps.disciplinary[MIRC] == {"BIO": 1}
+        assert sum(ps.partner[MIRC].values()) == 2
+        assert code not in ps.partner[MIRC]
+        total_partner_increments += sum(ps.partner[MIRC].values())
     assert total_partner_increments == 3 * 2  # k * (k - 1)
 
 
@@ -78,40 +75,8 @@ def test_partner_increment_count_law(k):
     table = {}
     rec = _rec("p", {"S"}, codes)
     accumulate(table, rec, classify(rec))
-    assert sum(ps.partner[INTERNATIONAL].total for ps in table.values()) == k * (k - 1)
-
-
-# --- Profile ------------------------------------------------------------
-
-def test_profile_no_zero_counts_and_total():
-    p = Profile(SUBJECT_SPACE)
-    p.increment("A", 0)
-    assert p.is_empty
-    p.increment("A", 2)
-    p.increment("B")
-    assert p.counts == {"A": 2, "B": 1}
-    assert p.total == 3
-    with pytest.raises(ValueError):
-        p.increment("A", -1)
-
-
-def test_profile_namespace_mismatch():
-    with pytest.raises(ValueError, match="namespace"):
-        Profile(SUBJECT_SPACE, {"A": 1}) + Profile(PARTNER_SPACE, {"A": 1})
-
-
-_profiles = st.dictionaries(
-    st.sampled_from([f"d{i}" for i in range(6)]),
-    st.integers(1, 40), max_size=5,
-).map(lambda d: Profile(SUBJECT_SPACE, d))
-
-
-@given(_profiles, _profiles, _profiles)
-def test_profile_merge_laws(a, b, c):
-    empty = Profile(SUBJECT_SPACE)
-    assert (a + empty).counts == a.counts
-    assert (a + b).counts == (b + a).counts
-    assert ((a + b) + c).counts == (a + (b + c)).counts
+    assert sum(sum(ps.partner[INTERNATIONAL].values())
+               for ps in table.values()) == k * (k - 1)
 
 
 # --- CountryProfileSet merge --------------------------------------------
@@ -218,9 +183,9 @@ def _assert_matches_recount(table, reference):
     for country, ps in table.items():
         ref = reference[country]
         for family in ps.disciplinary:
-            assert ps.disciplinary[family].counts == dict(ref["disc"][family])
+            assert ps.disciplinary[family] == dict(ref["disc"][family])
         for family in ps.partner:
-            assert ps.partner[family].counts == dict(ref["part"][family])
+            assert ps.partner[family] == dict(ref["part"][family])
         assert ps.pub_counts.n_domestic == ref["n"]["domestic"]
         assert ps.pub_counts.n_bilateral == ref["n"]["birc"]
         assert ps.pub_counts.n_multilateral == ref["n"]["mirc"]
@@ -306,7 +271,7 @@ def test_decomposition_invariants_hold_after_build():
     for ps in table.values():
         assert ps.decomposition_ok()
         for profile in list(ps.disciplinary.values()) + list(ps.partner.values()):
-            assert all(isinstance(n, int) and n > 0 for n in profile.counts.values())
+            assert all(isinstance(n, int) and n > 0 for n in profile.values())
 
 
 def test_build_empty_stream():
@@ -317,8 +282,8 @@ def test_build_single_domestic_record():
     table = build_profiles([_rec("p", {"A"}, {"NL"})])
     assert set(table) == {"NL"}
     nl = table["NL"]
-    assert nl.disciplinary[DOMESTIC].counts == {"A": 1}
-    assert nl.disciplinary[INTERNATIONAL].is_empty
+    assert nl.disciplinary[DOMESTIC] == {"A": 1}
+    assert not nl.disciplinary[INTERNATIONAL]
     assert nl.pub_counts.n_total == 1
 
 
@@ -336,8 +301,8 @@ def test_build_mega_threshold_splits_mirc():
     ps = table["AA"]
     assert ps.pub_counts.n_mega == 1
     assert ps.pub_counts.n_multilateral == 1
-    assert ps.disciplinary[MIRC].counts == {"S": 1}
-    assert ps.disciplinary["mega"].counts == {"S": 1}
+    assert ps.disciplinary[MIRC] == {"S": 1}
+    assert ps.disciplinary["mega"] == {"S": 1}
     assert ps.decomposition_ok()
 
 
@@ -353,7 +318,7 @@ def test_dump_rows_sorted_and_complete():
     rows = list(dump_rows(table))
     assert rows == sorted(rows)
     assert any(family == "mega" for _, _, family, _, _ in rows)
-    assert len(rows) == sum(len(p.counts) for ps in table.values()
+    assert len(rows) == sum(len(p) for ps in table.values()
                             for p in (*ps.disciplinary.values(),
                                       *ps.partner.values()))
 

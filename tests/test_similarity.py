@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collabsim.corpus import PublicationRecord, RegionMap
-from collabsim.profiles import PARTNER_SPACE, SUBJECT_SPACE, Profile, build_profiles
+from collabsim.profiles import build_profiles
 from collabsim.similarity import (
     INDICATORS,
     WorldBaseline,
@@ -18,35 +18,26 @@ from collabsim.similarity import (
 from oracle import cosine_ref, random_records
 
 
-def _p(counts, namespace=SUBJECT_SPACE):
-    return Profile(namespace, counts)
-
-
 def test_cosine_identity():
-    assert cosine(_p({"a": 2, "b": 1}), _p({"a": 2, "b": 1})) == 1.0
+    assert cosine({"a": 2, "b": 1}, {"a": 2, "b": 1}) == 1.0
 
 
 def test_cosine_disjoint_supports():
-    assert cosine(_p({"a": 3}), _p({"b": 5})) == 0.0
+    assert cosine({"a": 3}, {"b": 5}) == 0.0
 
 
 def test_cosine_half_overlap():
     # dot = 1, norms sqrt(2) * sqrt(2) -> 0.5
-    assert cosine(_p({"s1": 1, "s2": 1}), _p({"s2": 1, "s3": 1})) == pytest.approx(0.5, abs=1e-15)
+    assert cosine({"s1": 1, "s2": 1}, {"s2": 1, "s3": 1}) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cosine_scale_invariance():
-    assert cosine(_p({"s1": 3, "s2": 3}), _p({"s1": 1, "s2": 1})) == 1.0
+    assert cosine({"s1": 3, "s2": 3}, {"s1": 1, "s2": 1}) == 1.0
 
 
 def test_cosine_zero_profile_undefined():
-    assert cosine(_p({}), _p({"a": 1})) is None
-    assert cosine(_p({"a": 1}), _p({})) is None
-
-
-def test_cosine_namespace_mismatch():
-    with pytest.raises(ValueError, match="namespace"):
-        cosine(_p({"a": 1}), _p({"a": 1}, PARTNER_SPACE))
+    assert cosine({}, {"a": 1}) is None
+    assert cosine({"a": 1}, {}) is None
 
 
 _counts = st.dictionaries(
@@ -57,8 +48,8 @@ _counts = st.dictionaries(
 
 @given(_counts, _counts)
 def test_cosine_symmetry_and_range(a, b):
-    left = cosine(_p(a), _p(b))
-    right = cosine(_p(b), _p(a))
+    left = cosine(a, b)
+    right = cosine(b, a)
     assert left == right
     assert -1e-12 <= left <= 1.0 + 1e-12
     assert left == pytest.approx(cosine_ref(a, b), abs=1e-12)
@@ -66,23 +57,23 @@ def test_cosine_symmetry_and_range(a, b):
 
 @given(_counts)
 def test_cosine_self_similarity(a):
-    assert cosine(_p(a), _p(a)) == pytest.approx(1.0, abs=1e-12)
+    assert cosine(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(_counts, _counts, st.integers(2, 9))
 def test_cosine_positive_scaling(a, b, c):
     scaled = {k: c * v for k, v in a.items()}
-    assert cosine(_p(scaled), _p(b)) == pytest.approx(cosine(_p(a), _p(b)), abs=1e-12)
+    assert cosine(scaled, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
 
 @given(_counts, _counts, st.integers(1, 5))
 def test_cosine_proportional_addition(a, b, m):
     # folding in m more copies of a profile proportional to a leaves the
     # similarity against any fixed b unchanged
-    grown = _p(a)
+    grown = dict(a)
     for _ in range(m):
-        grown = grown + _p(a)
-    assert cosine(grown, _p(b)) == pytest.approx(cosine(_p(a), _p(b)), abs=1e-12)
+        grown = {k: grown[k] + v for k, v in a.items()}
+    assert cosine(grown, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
 
 # --- five_indicators ------------------------------------------------------
