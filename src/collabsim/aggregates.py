@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classify import CollabKind, CollaborationType, birc_share
+from .classify import CollabKind, CollaborationType, TypeCounts, birc_share
 from .corpus import PublicationRecord, RegionMap, region_of
 from .options import (  # noqa: F401 (re-export)
     CAGR,
@@ -285,21 +286,24 @@ def scatter_dataset(reports: Iterable[CountrySimilarityReport],
     return points, dropped
 
 
-def birc_share_points(table: dict[str, CountryProfileSet],
-                      denominator: str = SHARE_OF_INTERNATIONAL,
-                      ) -> list[tuple[str, float | None]]:
-    """Per-country bilateral share, either of international output (default)
-    or of all output."""
+def birc_shares(counts: Iterable[tuple[str, TypeCounts]],
+                denominator: str = SHARE_OF_INTERNATIONAL,
+                ) -> list[tuple[str, float | None]]:
+    """The bilateral share of each (country, publication counts) pair,
+    either of international output (default) or of all output."""
     if denominator not in SHARE_DENOMINATORS:
         raise ValueError(f"unknown denominator {denominator!r}; "
                          f"valid: {', '.join(SHARE_DENOMINATORS)}")
-    points: list[tuple[str, float | None]] = []
-    for country in sorted(table):
-        counts = table[country].pub_counts
-        if denominator == SHARE_OF_INTERNATIONAL:
-            points.append((country, birc_share(counts)))
-        else:
-            total = counts.n_total
-            points.append((country,
-                           counts.n_bilateral / total if total else None))
-    return points
+    if denominator == SHARE_OF_INTERNATIONAL:
+        return [(country, birc_share(n)) for country, n in counts]
+    return [(country, n.n_bilateral / n.n_total if n.n_total else None)
+            for country, n in counts]
+
+
+def birc_share_points(table: Mapping[str, CountryProfileSet],
+                      denominator: str = SHARE_OF_INTERNATIONAL,
+                      ) -> list[tuple[str, float | None]]:
+    """Per-country bilateral share, either of international output (default)
+    or of all output, in country order."""
+    return birc_shares([(country, table[country].pub_counts)
+                        for country in sorted(table)], denominator)

@@ -12,9 +12,9 @@ integer count arrays. :func:`accumulate` is the per-record path.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -139,8 +139,11 @@ class BuildConfig:
 
 
 # Pending pair work, k * (k + m) per record of k countries and m subjects,
-# at which ProfileFold flushes. It bounds the flush temporaries whatever the
-# consortium sizes; a bound on the record count does not.
+# at which ProfileFold flushes. It bounds the flush temporaries, the index
+# arrays of one entry per code pair that np.add.at consumes, whatever the
+# consortium sizes; a bound on the record count does not. Measured with the
+# sparse add (2-vCPU Xeon): 1 << 12 is slower on consortia, and 1 << 16
+# raises the peak RSS of a bulk report by about 3 MB.
 FLUSH_PAIRS = 1 << 14
 
 
@@ -160,9 +163,10 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _scatter_add(total: np.ndarray, index: np.ndarray) -> None:
-    """Add one count per entry of ``index`` into the flat cells of ``total``."""
-    counts = np.bincount(index)
-    total.reshape(-1)[:len(counts)] += counts
+    """Add one count per entry of ``index`` into the flat cells of
+    ``total``, a C-contiguous array; the cost follows the entries, not the
+    cells."""
+    np.add.at(total.reshape(-1), index, 1)
 
 
 def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,14 +210,16 @@ class ProfileFold:
     buffers. Every ``FLUSH_PAIRS`` of pending pair work, each distinct set
     of the buffers is interned once, in order of first appearance, and
     (in dedup mode) its regions found once; numpy expands the sets per
-    record and counts them into ``disc[kind, country, subject]``,
-    ``partner[kind, country, partner]`` and ``regions[region, kind,
-    year]``; only the region counts keep a year axis, because only
-    regional growth reads one. The partner diagonal ``partner[kind, c, c]``
-    counts the records of each kind that list ``c``. ``table`` and
-    ``region_counts`` then give the same results as :func:`accumulate` and
-    :meth:`RegionYearCounts.add` over the same records. The pooled
-    international family is derived as birc + mirc + mega.
+    record and adds one count per (record, code pair) with ``np.add.at``
+    into ``disc[kind, country, subject]``, ``partner[kind, country,
+    partner]`` and ``regions[region, kind, year]``; only the region counts
+    keep a year axis, because only regional growth reads one. The partner
+    diagonal ``partner[kind, c, c]`` counts the records of each kind that
+    list ``c``. ``table`` (a :class:`ProfileTable` over copies of the
+    arrays) and ``region_counts`` then give the same results as
+    :func:`accumulate` and :meth:`RegionYearCounts.add` over the same
+    records. The pooled international family is derived as birc + mirc +
+    mega.
     """
 
     def __init__(self, mega_threshold: int | None = None,
@@ -336,31 +342,11 @@ class ProfileFold:
         self._region_years[np.ix_(r, kinds, y)] += other._region_years
         return self
 
-    def table(self) -> dict[str, CountryProfileSet]:
+    def table(self) -> ProfileTable:
         """The per-country profile sets of every record folded so far."""
         self._flush()
-        subjects, countries = list(self._subjects), list(self._countries)
-        partner = self._partner.copy()
-        diagonal = np.arange(len(countries))
-        pubs = partner[:, diagonal, diagonal].T.tolist()
-        partner[:, diagonal, diagonal] = 0
-        table: dict[str, CountryProfileSet] = {}
-        for i, country in enumerate(countries):
-            disc = self._disc[:, i]
-            part = partner[:, i]
-            table[country] = CountryProfileSet(
-                country=country,
-                disciplinary={
-                    INTERNATIONAL: _profile(disc[1:].sum(axis=0), subjects),
-                    **{family: _profile(disc[j], subjects)
-                       for j, family in enumerate(_KIND_FAMILIES)}},
-                partner={
-                    INTERNATIONAL: _profile(part[1:].sum(axis=0), countries),
-                    **{family: _profile(part[j], countries)
-                       for j, family in enumerate(_KIND_FAMILIES) if j}},
-                pub_counts=TypeCounts(*pubs[i]),
-            )
-        return table
+        return ProfileTable(self._disc.copy(), self._partner.copy(),
+                            list(self._countries), list(self._subjects))
 
     def region_counts(self) -> RegionYearCounts:
         """Per-region annual counts by kind of every record folded so far."""
@@ -375,9 +361,60 @@ class ProfileFold:
         return RegionYearCounts(self.region_counting, counts)
 
 
+class ProfileTable(Mapping):
+    """A read-only ``{country: CountryProfileSet}`` mapping over count arrays.
+
+    It holds ``disc[kind, country, subject]`` and ``partner[kind, country,
+    partner]``, indexed by the ids of ``countries`` and ``subjects``, and
+    each country's publication counts by kind, which it takes from the
+    partner diagonal before zeroing it. A country's profile set is built
+    on its first lookup and kept, so ``table[c] is table[c]``; iteration
+    follows the country ids, and ``dict(table)`` is a mutable copy.
+    """
+
+    def __init__(self, disc: np.ndarray, partner: np.ndarray,
+                 countries: list[str], subjects: list[str]):
+        diagonal = np.arange(len(countries))
+        self.pubs = partner[:, diagonal, diagonal].T.tolist()
+        partner[:, diagonal, diagonal] = 0
+        self.disc, self.partner = disc, partner
+        self.countries, self.subjects = countries, subjects
+        self._ids = {country: i for i, country in enumerate(countries)}
+        self._sets: dict[str, CountryProfileSet] = {}
+
+    def __len__(self) -> int:
+        return len(self.countries)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.countries)
+
+    def __contains__(self, country) -> bool:
+        return country in self._ids
+
+    def __getitem__(self, country: str) -> CountryProfileSet:
+        ps = self._sets.get(country)
+        if ps is None:
+            i = self._ids[country]
+            subjects, countries = self.subjects, self.countries
+            disc, part = self.disc[:, i], self.partner[:, i]
+            ps = self._sets[country] = CountryProfileSet(
+                country=country,
+                disciplinary={
+                    INTERNATIONAL: _profile(disc[1:].sum(axis=0), subjects),
+                    **{family: _profile(disc[j], subjects)
+                       for j, family in enumerate(_KIND_FAMILIES)}},
+                partner={
+                    INTERNATIONAL: _profile(part[1:].sum(axis=0), countries),
+                    **{family: _profile(part[j], countries)
+                       for j, family in enumerate(_KIND_FAMILIES) if j}},
+                pub_counts=TypeCounts(*self.pubs[i]),
+            )
+        return ps
+
+
 def build_profiles(records: Iterable[PublicationRecord],
                    config: BuildConfig | None = None,
-                   ) -> dict[str, CountryProfileSet]:
+                   ) -> ProfileTable:
     """Single-pass profile build over validated records.
 
     Records outside the configured year slice are ignored. The result
@@ -391,8 +428,8 @@ def build_profiles(records: Iterable[PublicationRecord],
     return fold.table()
 
 
-def merge_tables(a: dict[str, CountryProfileSet],
-                 b: dict[str, CountryProfileSet],
+def merge_tables(a: Mapping[str, CountryProfileSet],
+                 b: Mapping[str, CountryProfileSet],
                  ) -> dict[str, CountryProfileSet]:
     """Merge two per-country tables (parallel-fold combiner).
 
@@ -405,7 +442,7 @@ def merge_tables(a: dict[str, CountryProfileSet],
     return merged
 
 
-def dump_rows(table: dict[str, CountryProfileSet],
+def dump_rows(table: Mapping[str, CountryProfileSet],
               ) -> Iterator[tuple[str, str, str, str, int]]:
     """Profile dump rows (country, family, collab type, dimension, count)
     in lexicographic sort order for deterministic export."""

@@ -12,13 +12,14 @@ import hashlib
 import json
 import os
 import stat
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from .aggregates import (
     RegionYearCounts,
-    birc_share_points,
+    birc_shares,
     growth_table,
     region_boxplot,
     scatter_dataset,
@@ -32,7 +33,7 @@ from .similarity import (
     CountrySimilarityReport,
     WorldBaseline,
     deviation,
-    five_indicators,
+    table_reports,
     world_baseline,
 )
 
@@ -65,7 +66,7 @@ class PipelineResult:
     region_map: RegionMap
     stats: CorpusStats
     n_year_filtered: int
-    table: dict[str, CountryProfileSet]
+    table: Mapping[str, CountryProfileSet]
     region_counts: RegionYearCounts
     reports: list[CountrySimilarityReport]
     baseline: WorldBaseline
@@ -112,7 +113,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         fold.merge(other)
         n_year_filtered += n
     table, region_counts = fold.table(), fold.region_counts()
-    reports = [five_indicators(table[c], region_map) for c in sorted(table)]
+    reports = table_reports(table, region_map)
     baseline = world_baseline(reports, cfg.min_pubs)
     return PipelineResult(region_map, stats, n_year_filtered, table,
                           region_counts, reports, baseline,
@@ -163,13 +164,20 @@ def countries_rows(reports, baseline):
     return header, rows
 
 
+def _birc_share_points(reports, denominator: str):
+    """:func:`~collabsim.aggregates.birc_share_points` of the table that
+    ``reports`` were made from, taken from the reports' counts."""
+    return birc_shares([(r.country, r.pub_counts) for r in reports],
+                       denominator)
+
+
 def regions_rows(result: PipelineResult, cfg: RunConfig):
     header = ["region", "n_countries", "metric",
               "min", "q1", "median", "q3", "max", "n_outliers"]
     rows = []
     for metric in BOXPLOT_METRICS:
         if metric == "birc_share":
-            values = birc_share_points(result.table, cfg.fig2_denominator)
+            values = _birc_share_points(result.reports, cfg.fig2_denominator)
         else:
             values = [(r.country, r.indicator(metric)) for r in result.reports]
         grouped = region_boxplot(values, result.region_map)

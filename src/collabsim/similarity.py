@@ -12,8 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .classify import TypeCounts
 from .corpus import UNKNOWN_REGION, RegionMap, region_of  # noqa: F401 (re-export)
-from .profiles import BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet
+from .profiles import (BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet,
+                       ProfileTable)
 
 INDICATORS = (
     "sim_dom_int",
@@ -29,6 +33,18 @@ AT = "at"
 UNDEFINED = "undefined"
 
 
+def _cosine(dot: int, norm2_p: int, norm2_q: int) -> float | None:
+    """The cosine of two count vectors from their integer dot product and
+    squared norms, or None if either norm is 0.
+
+    Only the division rounds. Cauchy-Schwarz holds exactly on the integer
+    side, so the clamp makes proportional vectors report exactly 1.
+    """
+    if not norm2_p or not norm2_q:
+        return None
+    return min(dot / math.sqrt(norm2_p * norm2_q), 1.0)
+
+
 def cosine(p: dict[str, int], q: dict[str, int]) -> float | None:
     """Cosine similarity of two ``{code: count}`` profiles, or None if
     either is empty.
@@ -36,19 +52,13 @@ def cosine(p: dict[str, int], q: dict[str, int]) -> float | None:
     Counts are integers, so the dot product and squared norms are exact and
     independent of key order; only the final division rounds.
     """
-    if not p or not q:
-        return None
     dot = 0
     for key, v in p.items():
         w = q.get(key)
         if w:
             dot += v * w
-    norm2_p = sum(v * v for v in p.values())
-    norm2_q = sum(w * w for w in q.values())
-    value = dot / math.sqrt(norm2_p * norm2_q)
-    # Cauchy-Schwarz holds exactly on the integer side; clamp the one
-    # rounding step so proportional profiles report exactly 1.
-    return min(value, 1.0)
+    return _cosine(dot, sum(v * v for v in p.values()),
+                   sum(w * w for w in q.values()))
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,10 @@ class CountrySimilarityReport:
         return self.n_birc + self.n_mirc + self.n_mega
 
     @property
+    def pub_counts(self) -> TypeCounts:
+        return TypeCounts(self.n_dom, self.n_birc, self.n_mirc, self.n_mega)
+
+    @property
     def international_share(self) -> float | None:
         """International share of all output; None when there is none."""
         return self.n_int / self.n_pub_total if self.n_pub_total else None
@@ -85,6 +99,14 @@ class CountrySimilarityReport:
         if name not in INDICATORS:
             raise KeyError(name)
         return getattr(self, name)
+
+
+def _report(country: str, region_map: RegionMap | None, counts: TypeCounts,
+            sims) -> CountrySimilarityReport:
+    return CountrySimilarityReport(
+        country, region_of(region_map, country), counts.n_total,
+        counts.n_domestic, counts.n_bilateral, counts.n_multilateral,
+        counts.n_mega, *sims)
 
 
 def five_indicators(ps: CountryProfileSet,
@@ -97,22 +119,49 @@ def five_indicators(ps: CountryProfileSet,
     fifth compares the birc and mirc partner profiles. Countries missing
     from the region map are kept under region "UNKNOWN".
     """
-    disc = ps.disciplinary
-    counts = ps.pub_counts
-    return CountrySimilarityReport(
-        country=ps.country,
-        region=region_of(region_map, ps.country),
-        n_pub_total=counts.n_total,
-        n_dom=counts.n_domestic,
-        n_birc=counts.n_bilateral,
-        n_mirc=counts.n_multilateral,
-        n_mega=counts.n_mega,
-        sim_dom_int=cosine(disc[DOMESTIC], disc[INTERNATIONAL]),
-        sim_dom_birc=cosine(disc[DOMESTIC], disc[BIRC]),
-        sim_dom_mirc=cosine(disc[DOMESTIC], disc[MIRC]),
-        sim_birc_mirc_disc=cosine(disc[BIRC], disc[MIRC]),
-        sim_birc_mirc_partner=cosine(ps.partner[BIRC], ps.partner[MIRC]),
-    )
+    disc, part = ps.disciplinary, ps.partner
+    return _report(ps.country, region_map, ps.pub_counts, (
+        cosine(disc[DOMESTIC], disc[INTERNATIONAL]),
+        cosine(disc[DOMESTIC], disc[BIRC]),
+        cosine(disc[DOMESTIC], disc[MIRC]),
+        cosine(disc[BIRC], disc[MIRC]),
+        cosine(part[BIRC], part[MIRC])))
+
+
+def _exact(*rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``rows``, count arrays of one width: as they are when no dot product
+    of two of their rows can pass int64, else as arrays of Python ints."""
+    top = max(int(r.max(initial=0)) for r in rows)
+    if top * top * rows[0].shape[-1] < 1 << 62:
+        return rows
+    return tuple(r.astype(object) for r in rows)
+
+
+# the rows table_reports compares for each indicator, by their index among
+# disc's dom, int, birc and mirc rows and partner's birc and mirc rows
+_INDICATOR_ROWS = ((0, 1), (0, 2), (0, 3), (2, 3), (4, 5))
+
+
+def table_reports(table: ProfileTable, region_map: RegionMap | None = None,
+                  ) -> list[CountrySimilarityReport]:
+    """The :func:`five_indicators` report of every country of ``table``, in
+    country order, from its count arrays: one integer dot product per
+    compared row pair and one squared norm per row feed :func:`_cosine`,
+    so every value is the one :func:`cosine` gives on the profile dicts."""
+    dom, birc, mirc, mega = table.disc
+    rows = (*_exact(dom, birc + mirc + mega, birc, mirc),
+            *_exact(table.partner[1], table.partner[2]))
+
+    def dots(p, q):
+        return (p * q).sum(axis=1).tolist()
+
+    norm2 = [dots(r, r) for r in rows]
+    sims = [list(map(_cosine, dots(rows[a], rows[b]), norm2[a], norm2[b]))
+            for a, b in _INDICATOR_ROWS]
+    countries = table.countries
+    return [_report(countries[i], region_map, TypeCounts(*table.pubs[i]),
+                    [s[i] for s in sims])
+            for i in sorted(range(len(countries)), key=countries.__getitem__)]
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,22 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from collabsim.aggregates import birc_share_points
 from collabsim.cli import _config, build_parser, main
 from collabsim.corpus import _byte_ranges
-from collabsim.reporting import OutputStager, RunConfig
+from collabsim.profiles import CountryProfileSet, ProfileTable
+from collabsim.reporting import (
+    OutputStager,
+    PipelineResult,
+    RunConfig,
+    _birc_share_points,
+    run_outputs,
+    run_pipeline,
+)
+from collabsim.similarity import five_indicators, table_reports, world_baseline
 
 from oracle import DISC_FAMILIES, PART_FAMILIES, parse_reference, recount
 
@@ -312,6 +323,71 @@ def test_profile_dump(inputs, tmp_path):
     assert lines[0] == "country,profile_family,collab_type,dimension,count"
     assert "NL,disciplinary,birc,PHYS,2" in lines
     assert "NL,partner,mirc,ZA,1" in lines
+
+
+def _synth_small(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 19, "n_countries": 9, "n_subjects": 7,
+        "pubs_per_country_year": 4, "years": [2010, 2012],
+        "mirc_size": {"3": 0.5, "5": 0.5}}))
+    path, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+    assert _run(["synth", "--scenario", scenario, "--out", path,
+                 "--regions-out", regions]) == 0
+    return path, regions
+
+
+def test_report_builds_no_profile_set(tmp_path, monkeypatch):
+    """report stays on the fold's count arrays: no CountryProfileSet."""
+    path, regions = _synth_small(tmp_path)
+    cfg = RunConfig(path, regions, tmp_path / "out", mega_threshold=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report built a CountryProfileSet")
+
+    monkeypatch.setattr(CountryProfileSet, "__init__", refuse)
+    assert run_outputs("report", cfg) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "n_countries"] == 9
+
+
+def test_pipeline_result_equals_its_dict_table_twin(tmp_path):
+    """run_pipeline equals a result made from a dict copy of its table and
+    five_indicators over it, as the traced benchmark pass checks."""
+    path, regions = _synth_small(tmp_path)
+    cfg = RunConfig(path, regions, tmp_path / "out", mega_threshold=4)
+    result = run_pipeline(cfg)
+    table = dict(result.table)
+    reports = [five_indicators(table[c], result.region_map)
+               for c in sorted(table)]
+    twin = PipelineResult(result.region_map, result.stats,
+                          result.n_year_filtered, table, result.region_counts,
+                          reports, world_baseline(reports, cfg.min_pubs),
+                          result.streamed_sha256)
+    assert run_pipeline(cfg) == twin and twin == result
+
+
+def test_birc_share_points_from_the_reports(tmp_path):
+    """regions.csv's birc-share points, taken from the reports, are those of
+    the table: FR has no international output, and BE none at all."""
+    corpus, regions = tmp_path / "corpus.jsonl", tmp_path / "regions.csv"
+    corpus.write_text(CORPUS + '{"id":"p7","year":2012,"subjects":["BIO"],'
+                      '"countries":["FR"]}\n')
+    regions.write_text(REGIONS + "FR,Europe & Central Asia\n")
+    result = run_pipeline(RunConfig(corpus, regions, tmp_path / "out"))
+    disc = np.zeros((4, 2, 1), dtype=np.int64)
+    partner = np.zeros((4, 2, 2), dtype=np.int64)
+    partner[1, 0, 0] = partner[0, 0, 0] = 1  # AR: one birc, one domestic
+    arrays = ProfileTable(disc, partner, ["AR", "BE"], ["BIO"])
+    for table, reports in ((result.table, result.reports),
+                           (arrays, table_reports(arrays))):
+        for denominator in ("international", "total"):
+            points = _birc_share_points(reports, denominator)
+            assert points == birc_share_points(dict(table), denominator)
+    assert dict(_birc_share_points(result.reports, "international"))[
+        "FR"] is None
+    assert dict(_birc_share_points(table_reports(arrays), "total")) == {
+        "AR": 0.5, "BE": None}
 
 
 def test_profile_dump_equals_the_recount(tmp_path, monkeypatch):

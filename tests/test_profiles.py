@@ -210,6 +210,28 @@ def _folded(records, mega_threshold=None, region_map=None, mode="dedup"):
     return fold.table(), fold.region_counts()
 
 
+def test_profile_table_is_a_read_only_memoised_mapping():
+    records = random_records(random.Random(3), 300, max_countries=6)
+    fold = _fold_of(records, 3, None, "dedup")
+    table, (expected, _) = fold.table(), _per_record(records, 3)
+    assert table == expected and expected == table
+    assert list(table) == list(expected) and len(table) == len(expected)
+    country = next(iter(table))
+    assert table[country] is table[country]
+    assert country in table and "ZZ" not in table and table.get("ZZ") is None
+    with pytest.raises(KeyError):
+        table["ZZ"]
+    with pytest.raises(TypeError):
+        table[country] = table[country]
+    with pytest.raises(TypeError):
+        del table[country]
+    copy = dict(table)
+    copy["ZZ"] = CountryProfileSet.empty("ZZ")
+    assert "ZZ" not in table
+    fold.add(_rec("later", {"S0"}, {country, "ZZ"}))  # the table keeps its counts
+    assert table == expected and fold.table() != expected
+
+
 # AA, AB and AC unmapped (UNKNOWN region), the rest split over two regions
 _PARTIAL_MAP = RegionMap({c: ("North" if i % 2 else "South")
                           for i, c in enumerate(a + b for a in "ABC" for b in "ABCDEF")

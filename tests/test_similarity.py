@@ -1,21 +1,25 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from collabsim.corpus import PublicationRecord, RegionMap
-from collabsim.profiles import build_profiles
+from collabsim.profiles import ProfileTable, build_profiles
 from collabsim.similarity import (
     INDICATORS,
     WorldBaseline,
+    _exact,
     cosine,
     deviation,
     five_indicators,
+    table_reports,
     world_baseline,
 )
 
-from oracle import cosine_ref, random_records
+from oracle import cosine_ref, five_sims_ref, random_records
 
 
 def test_cosine_identity():
@@ -212,3 +216,98 @@ def test_deviation_undefined_baseline():
     baseline = world_baseline([])
     labels = deviation(_report("A", sim_dom_int=0.9), baseline)
     assert labels["sim_dom_int"].label == "undefined"
+
+
+# --- table_reports: the indicators from a ProfileTable's count arrays -----
+
+_NAMES = ("NL", "ES", "ZA", "BE", "AR")  # interned out of sorted order
+
+
+def _table(disc, partner):
+    """A ProfileTable over ``disc[kind, country, subject]`` and
+    ``partner[kind, country, partner]`` (diagonal: the publication counts)."""
+    n_c, n_s = disc.shape[1:]
+    return ProfileTable(disc.copy(), partner.copy(), list(_NAMES[:n_c]),
+                        [f"S{j}" for j in range(n_s)])
+
+
+@st.composite
+def _count_arrays(draw):
+    """Small count arrays: families drawn empty, the mega kind on or off,
+    rows scaled from another row, and wide rows of counts near 2**31."""
+    n_c = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    n_s = draw(st.integers(8, 40) if big else st.integers(1, 6))
+    counts = (st.integers(2**31 - 64, 2**31 + 64) | st.just(0) if big
+              else st.integers(0, 4))
+    disc = draw(arrays(np.int64, (4, n_c, n_s), elements=counts))
+    partner = draw(arrays(np.int64, (4, n_c, n_c), elements=counts))
+    partner[0] *= np.eye(n_c, dtype=np.int64)  # no domestic partners
+    mega = draw(st.booleans())
+    for kind in range(4):
+        if (kind == 3 and not mega) or draw(st.booleans()):
+            disc[kind] = 0
+        if (kind == 3 and not mega) or draw(st.booleans()):
+            partner[kind] *= np.eye(n_c, dtype=np.int64)
+    for i in range(n_c):
+        if draw(st.booleans()):  # birc proportional to mirc
+            disc[1, i] = draw(st.integers(1, 3)) * disc[2, i]
+            partner[1, i] = draw(st.integers(1, 3)) * partner[2, i]
+        if draw(st.booleans()):  # domestic proportional to international
+            disc[0, i] = draw(st.integers(1, 3)) * disc[1:, i].sum(axis=0)
+    return disc, partner
+
+
+@settings(max_examples=150, deadline=None)
+@given(_count_arrays())
+def test_table_reports_equal_five_indicators_and_the_oracle(arrays_):
+    table = _table(*arrays_)
+    reports = table_reports(table)
+    assert [r.country for r in reports] == sorted(table)
+    for report in reports:
+        ps = table[report.country]
+        assert report == five_indicators(ps)
+        reference = five_sims_ref({"disc": ps.disciplinary, "part": ps.partner})
+        for name in INDICATORS:
+            value = report.indicator(name)
+            assert (value is None) == (reference[name] is None)
+            if value is not None:
+                assert value == pytest.approx(reference[name], rel=1e-12)
+                assert value <= 1.0
+
+
+def test_table_reports_give_exactly_one_for_proportional_rows():
+    base = np.array([3, 0, 7, 1, 2], dtype=np.int64)
+    disc = np.stack([6 * base, 2 * base, base, base])[:, None, :]
+    partner = np.zeros((4, 1, 1), dtype=np.int64)
+    (report,) = table_reports(_table(disc, partner))
+    assert (report.sim_dom_int, report.sim_dom_birc, report.sim_dom_mirc,
+            report.sim_birc_mirc_disc) == (1.0, 1.0, 1.0, 1.0)
+    assert report.sim_birc_mirc_partner is None  # a one-country table
+
+
+def test_table_reports_fall_back_to_python_ints():
+    """Counts near 2**31 in a wide row would wrap an int64 dot product."""
+    width = 32
+    row = 2**31 - np.arange(width, dtype=np.int64)
+    disc = np.stack([row, row[::-1], row, 0 * row])[:, None, :]
+    disc[1, 0, 0] = 1
+    partner = np.zeros((4, 1, 1), dtype=np.int64)
+    dom, birc = disc[0, 0].tolist(), disc[1, 0].tolist()
+    dot = sum(a * b for a, b in zip(dom, birc))
+    assert int((disc[0, 0] * disc[1, 0]).sum()) != dot  # int64 wraps
+    assert _exact(disc[0], disc[1])[0].dtype == object
+    (report,) = table_reports(_table(disc, partner))
+    assert report.sim_dom_birc == min(
+        dot / math.sqrt(sum(a * a for a in dom) * sum(b * b for b in birc)), 1.0)
+    assert report.sim_dom_mirc == 1.0
+    assert report == five_indicators(_table(disc, partner)["NL"])
+
+
+def test_table_reports_on_the_fold_match_five_indicators():
+    records = random_records(random.Random(21), 400, n_countries=12,
+                             max_countries=7)
+    table = build_profiles(records)
+    rmap = RegionMap({"AA": "North", "AB": "South"})
+    assert table_reports(table, rmap) == [
+        five_indicators(table[c], rmap) for c in sorted(table)]
