@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classify import CollabKind, CollaborationType, TypeCounts, birc_share
+from .classify import CollabKind, CollaborationType, _summed, birc_share
 from .corpus import PublicationRecord, RegionMap, region_of
 from .options import (  # noqa: F401 (re-export)
     CAGR,
@@ -189,14 +189,7 @@ class RegionYearCounts:
     def merge(self, other: "RegionYearCounts") -> "RegionYearCounts":
         if self.mode != other.mode:
             raise ValueError("cannot merge counts with different modes")
-        merged = RegionYearCounts(self.mode)
-        for source in (self, other):
-            for region, by_kind in source.counts.items():
-                for kind, by_year in by_kind.items():
-                    target = merged.counts.setdefault(region, {}).setdefault(kind, {})
-                    for year, n in by_year.items():
-                        target[year] = target.get(year, 0) + n
-        return merged
+        return RegionYearCounts(self.mode, _summed(self.counts, other.counts))
 
     __add__ = merge
 
@@ -286,24 +279,23 @@ def scatter_dataset(reports: Iterable[CountrySimilarityReport],
     return points, dropped
 
 
-def birc_shares(counts: Iterable[tuple[str, TypeCounts]],
-                denominator: str = SHARE_OF_INTERNATIONAL,
-                ) -> list[tuple[str, float | None]]:
-    """The bilateral share of each (country, publication counts) pair,
-    either of international output (default) or of all output."""
+def birc_share_points(
+        table: Mapping[str, CountryProfileSet | CountrySimilarityReport],
+        denominator: str = SHARE_OF_INTERNATIONAL,
+        ) -> list[tuple[str, float | None]]:
+    """Per-country bilateral share, either of international output (default)
+    or of all output, in country order. ``table`` maps each country to its
+    profile set or similarity report; both carry its ``pub_counts``."""
     if denominator not in SHARE_DENOMINATORS:
         raise ValueError(f"unknown denominator {denominator!r}; "
                          f"valid: {', '.join(SHARE_DENOMINATORS)}")
-    if denominator == SHARE_OF_INTERNATIONAL:
-        return [(country, birc_share(n)) for country, n in counts]
-    return [(country, n.n_bilateral / n.n_total if n.n_total else None)
-            for country, n in counts]
-
-
-def birc_share_points(table: Mapping[str, CountryProfileSet],
-                      denominator: str = SHARE_OF_INTERNATIONAL,
-                      ) -> list[tuple[str, float | None]]:
-    """Per-country bilateral share, either of international output (default)
-    or of all output, in country order."""
-    return birc_shares([(country, table[country].pub_counts)
-                        for country in sorted(table)], denominator)
+    points: list[tuple[str, float | None]] = []
+    for country in sorted(table):
+        counts = table[country].pub_counts
+        if denominator == SHARE_OF_INTERNATIONAL:
+            points.append((country, birc_share(counts)))
+        else:
+            total = counts.n_total
+            points.append((country,
+                           counts.n_bilateral / total if total else None))
+    return points

@@ -91,6 +91,21 @@ class TypeCounts:
     __add__ = merge
 
 
+def _summed(a: dict, b: dict) -> dict:
+    """The key-wise sum of two nested count dicts, in new dicts all the way
+    down: dict values are summed in turn, and any other value is added with
+    ``+`` or, under a key of one input only, kept as it is."""
+    total = {}
+    for source in (a, b):
+        for key, value in source.items():
+            if isinstance(value, dict):
+                value = _summed(total.get(key, {}), value)
+            elif key in total:
+                value = total[key] + value
+            total[key] = value
+    return total
+
+
 def birc_share(counts: TypeCounts) -> float | None:
     """Bilateral share of international output; None when there is none."""
     denom = counts.n_international

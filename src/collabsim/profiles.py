@@ -19,7 +19,7 @@ from itertools import chain, count
 import numpy as np
 
 from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
-from .classify import (_KINDS, CollaborationType, TypeCounts,
+from .classify import (_KINDS, CollaborationType, TypeCounts, _summed,
                        check_mega_threshold, kind_index)
 from .corpus import PublicationRecord, RegionMap, region_of
 
@@ -35,15 +35,6 @@ PARTNER_FAMILIES = (INTERNATIONAL, BIRC, MIRC, MEGA)
 # the family of each kind index of ProfileFold's count arrays (kind_index)
 _KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
 _FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
-
-
-def _summed(*profiles: dict[str, int]) -> dict[str, int]:
-    """The key-wise sum of count profiles."""
-    total = dict(profiles[0])
-    for profile in profiles[1:]:
-        for key, n in profile.items():
-            total[key] = total.get(key, 0) + n
-    return total
 
 
 @dataclass
@@ -77,20 +68,17 @@ class CountryProfileSet:
             raise ValueError(
                 f"cannot merge profiles of {self.country} and {other.country}")
         return CountryProfileSet(
-            country=self.country,
-            disciplinary={f: _summed(self.disciplinary[f], other.disciplinary[f])
-                          for f in DISC_FAMILIES},
-            partner={f: _summed(self.partner[f], other.partner[f])
-                     for f in PARTNER_FAMILIES},
-            pub_counts=self.pub_counts + other.pub_counts,
-        )
+            self.country, _summed(self.disciplinary, other.disciplinary),
+            _summed(self.partner, other.partner),
+            self.pub_counts + other.pub_counts)
 
     __add__ = merge
 
     def decomposition_ok(self) -> bool:
         """Check the sum identities: birc + mirc + mega == international for
         both profile families, and the country never partners itself."""
-        return (all(_summed(p[BIRC], p[MIRC], p[MEGA]) == p[INTERNATIONAL]
+        return (all(_summed(_summed(p[BIRC], p[MIRC]), p[MEGA])
+                    == p[INTERNATIONAL]
                     for p in (self.disciplinary, self.partner))
                 and self.country not in self.partner[INTERNATIONAL])
 
@@ -194,6 +182,15 @@ def _distinct_sets(ids: _Ids, sets: list) -> tuple[np.ndarray, ...]:
     sizes = np.fromiter(map(len, index), dtype=np.intp, count=len(index))
     return (_remap(index, sets), sizes,
             _remap(ids, list(chain.from_iterable(index))))
+
+
+def _family_rows(counts: np.ndarray, family: str) -> np.ndarray:
+    """The rows of ``family`` in ``counts``, a count array whose first axis
+    is the kind index: its kind's slice, or for the pooled international
+    family the sum over the international kinds."""
+    if family == INTERNATIONAL:
+        return counts[1:].sum(axis=0)
+    return counts[_KIND_FAMILIES.index(family)]
 
 
 def _profile(row: np.ndarray, names: list[str]) -> dict[str, int]:
@@ -364,23 +361,22 @@ class ProfileFold:
 class ProfileTable(Mapping):
     """A read-only ``{country: CountryProfileSet}`` mapping over count arrays.
 
-    It holds ``disc[kind, country, subject]`` and ``partner[kind, country,
-    partner]``, indexed by the ids of ``countries`` and ``subjects``, and
-    each country's publication counts by kind, which it takes from the
-    partner diagonal before zeroing it. A country's profile set is built
-    on its first lookup and kept, so ``table[c] is table[c]``; iteration
-    follows the country ids, and ``dict(table)`` is a mutable copy.
+    It holds ``disciplinary[kind, country, subject]`` and ``partner[kind,
+    country, partner]``, indexed by the ids of ``countries`` and
+    ``subjects``, and each country's publication counts by kind, which it
+    takes from the partner diagonal before zeroing it. Each lookup builds
+    a new profile set, so ``dict(table)`` is an independent mutable copy;
+    iteration follows the country ids.
     """
 
-    def __init__(self, disc: np.ndarray, partner: np.ndarray,
+    def __init__(self, disciplinary: np.ndarray, partner: np.ndarray,
                  countries: list[str], subjects: list[str]):
         diagonal = np.arange(len(countries))
         self.pubs = partner[:, diagonal, diagonal].T.tolist()
         partner[:, diagonal, diagonal] = 0
-        self.disc, self.partner = disc, partner
+        self.disciplinary, self.partner = disciplinary, partner
         self.countries, self.subjects = countries, subjects
         self._ids = {country: i for i, country in enumerate(countries)}
-        self._sets: dict[str, CountryProfileSet] = {}
 
     def __len__(self) -> int:
         return len(self.countries)
@@ -392,24 +388,17 @@ class ProfileTable(Mapping):
         return country in self._ids
 
     def __getitem__(self, country: str) -> CountryProfileSet:
-        ps = self._sets.get(country)
-        if ps is None:
-            i = self._ids[country]
-            subjects, countries = self.subjects, self.countries
-            disc, part = self.disc[:, i], self.partner[:, i]
-            ps = self._sets[country] = CountryProfileSet(
-                country=country,
-                disciplinary={
-                    INTERNATIONAL: _profile(disc[1:].sum(axis=0), subjects),
-                    **{family: _profile(disc[j], subjects)
-                       for j, family in enumerate(_KIND_FAMILIES)}},
-                partner={
-                    INTERNATIONAL: _profile(part[1:].sum(axis=0), countries),
-                    **{family: _profile(part[j], countries)
-                       for j, family in enumerate(_KIND_FAMILIES) if j}},
-                pub_counts=TypeCounts(*self.pubs[i]),
-            )
-        return ps
+        i = self._ids[country]
+
+        def profiles(counts, families, names):
+            return {f: _profile(_family_rows(counts[:, i], f), names)
+                    for f in families}
+
+        return CountryProfileSet(
+            country,
+            profiles(self.disciplinary, DISC_FAMILIES, self.subjects),
+            profiles(self.partner, PARTNER_FAMILIES, self.countries),
+            TypeCounts(*self.pubs[i]))
 
 
 def build_profiles(records: Iterable[PublicationRecord],
@@ -436,10 +425,7 @@ def merge_tables(a: Mapping[str, CountryProfileSet],
     Entries present in only one input are shared, not copied; treat the
     inputs as frozen once merged.
     """
-    merged = dict(a)
-    for country, ps in b.items():
-        merged[country] = merged[country] + ps if country in merged else ps
-    return merged
+    return _summed(a, b)
 
 
 def dump_rows(table: Mapping[str, CountryProfileSet],

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .aggregates import (
     RegionYearCounts,
-    birc_shares,
+    birc_share_points,
     growth_table,
     region_boxplot,
     scatter_dataset,
@@ -164,20 +164,14 @@ def countries_rows(reports, baseline):
     return header, rows
 
 
-def _birc_share_points(reports, denominator: str):
-    """:func:`~collabsim.aggregates.birc_share_points` of the table that
-    ``reports`` were made from, taken from the reports' counts."""
-    return birc_shares([(r.country, r.pub_counts) for r in reports],
-                       denominator)
-
-
 def regions_rows(result: PipelineResult, cfg: RunConfig):
     header = ["region", "n_countries", "metric",
               "min", "q1", "median", "q3", "max", "n_outliers"]
     rows = []
     for metric in BOXPLOT_METRICS:
         if metric == "birc_share":
-            values = _birc_share_points(result.reports, cfg.fig2_denominator)
+            values = birc_share_points({r.country: r for r in result.reports},
+                                       cfg.fig2_denominator)
         else:
             values = [(r.country, r.indicator(metric)) for r in result.reports]
         grouped = region_boxplot(values, result.region_map)

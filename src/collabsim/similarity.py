@@ -17,15 +17,17 @@ import numpy as np
 from .classify import TypeCounts
 from .corpus import UNKNOWN_REGION, RegionMap, region_of  # noqa: F401 (re-export)
 from .profiles import (BIRC, DOMESTIC, INTERNATIONAL, MIRC, CountryProfileSet,
-                       ProfileTable)
+                       ProfileTable, _family_rows)
 
-INDICATORS = (
-    "sim_dom_int",
-    "sim_dom_birc",
-    "sim_dom_mirc",
-    "sim_birc_mirc_disc",
-    "sim_birc_mirc_partner",
-)
+# each indicator's profile field and the two families it compares
+_PAIRS = {
+    "sim_dom_int": ("disciplinary", DOMESTIC, INTERNATIONAL),
+    "sim_dom_birc": ("disciplinary", DOMESTIC, BIRC),
+    "sim_dom_mirc": ("disciplinary", DOMESTIC, MIRC),
+    "sim_birc_mirc_disc": ("disciplinary", BIRC, MIRC),
+    "sim_birc_mirc_partner": ("partner", BIRC, MIRC),
+}
+INDICATORS = tuple(_PAIRS)
 
 ABOVE = "above"
 BELOW = "below"
@@ -119,13 +121,9 @@ def five_indicators(ps: CountryProfileSet,
     fifth compares the birc and mirc partner profiles. Countries missing
     from the region map are kept under region "UNKNOWN".
     """
-    disc, part = ps.disciplinary, ps.partner
-    return _report(ps.country, region_map, ps.pub_counts, (
-        cosine(disc[DOMESTIC], disc[INTERNATIONAL]),
-        cosine(disc[DOMESTIC], disc[BIRC]),
-        cosine(disc[DOMESTIC], disc[MIRC]),
-        cosine(disc[BIRC], disc[MIRC]),
-        cosine(part[BIRC], part[MIRC])))
+    return _report(ps.country, region_map, ps.pub_counts,
+                   [cosine(getattr(ps, field)[a], getattr(ps, field)[b])
+                    for field, a, b in _PAIRS.values()])
 
 
 def _exact(*rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -137,27 +135,20 @@ def _exact(*rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(r.astype(object) for r in rows)
 
 
-# the rows table_reports compares for each indicator, by their index among
-# disc's dom, int, birc and mirc rows and partner's birc and mirc rows
-_INDICATOR_ROWS = ((0, 1), (0, 2), (0, 3), (2, 3), (4, 5))
-
-
 def table_reports(table: ProfileTable, region_map: RegionMap | None = None,
                   ) -> list[CountrySimilarityReport]:
     """The :func:`five_indicators` report of every country of ``table``, in
-    country order, from its count arrays: one integer dot product per
-    compared row pair and one squared norm per row feed :func:`_cosine`,
-    so every value is the one :func:`cosine` gives on the profile dicts."""
-    dom, birc, mirc, mega = table.disc
-    rows = (*_exact(dom, birc + mirc + mega, birc, mirc),
-            *_exact(table.partner[1], table.partner[2]))
-
+    country order, from its count arrays: per compared pair of family rows,
+    one integer dot product and two squared norms feed :func:`_cosine`, so
+    every value is the one :func:`cosine` gives on the profile dicts."""
     def dots(p, q):
         return (p * q).sum(axis=1).tolist()
 
-    norm2 = [dots(r, r) for r in rows]
-    sims = [list(map(_cosine, dots(rows[a], rows[b]), norm2[a], norm2[b]))
-            for a, b in _INDICATOR_ROWS]
+    sims = []
+    for field, a, b in _PAIRS.values():
+        p, q = _exact(*(_family_rows(getattr(table, field), family)
+                        for family in (a, b)))
+        sims.append(list(map(_cosine, dots(p, q), dots(p, p), dots(q, q))))
     countries = table.countries
     return [_report(countries[i], region_map, TypeCounts(*table.pubs[i]),
                     [s[i] for s in sims])

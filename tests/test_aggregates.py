@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -19,7 +20,8 @@ from collabsim.aggregates import (
 from collabsim.classify import TypeCounts, classify
 from collabsim.corpus import PublicationRecord, RegionMap
 from collabsim.profiles import CountryProfileSet
-from collabsim.similarity import CountrySimilarityReport, INDICATORS
+from collabsim.similarity import (CountrySimilarityReport, INDICATORS,
+                                  five_indicators)
 
 from oracle import quantile_type7
 
@@ -188,6 +190,38 @@ def test_region_counts_merge_and_growth_table():
     assert entry.rate == pytest.approx(1.0)
 
 
+_MERGE_MAP = RegionMap({"AA": "North", "AB": "North", "AC": "South"})
+# records as (country set, year); AD is unmapped
+_ADDS = st.lists(st.tuples(st.sets(st.sampled_from(["AA", "AB", "AC", "AD"]),
+                                   min_size=1),
+                           st.integers(2000, 2003)), max_size=6)
+
+
+def _region_counts(mode, adds):
+    counts = RegionYearCounts(mode)
+    for countries, year in adds:
+        rec = _rec("p", countries, year)
+        counts.add(rec, classify(rec), _MERGE_MAP)
+    return counts
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["dedup", "country"]), _ADDS, _ADDS, _ADDS, _ADDS)
+def test_region_counts_merge_is_a_monoid_that_copies(mode, xs, ys, zs, later):
+    a, b, c = (_region_counts(mode, adds) for adds in (xs, ys, zs))
+    empty = RegionYearCounts(mode)
+    assert a + empty == a and empty + a == a
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + b == _region_counts(mode, xs + ys)
+    before = copy.deepcopy((a, b))
+    merged = a + b
+    for countries, year in later + [({"AA", "AC", "AD"}, 2000)]:
+        rec = _rec("q", countries, year)
+        merged.add(rec, classify(rec), _MERGE_MAP)
+    assert (a, b) == before
+
+
 def test_region_counts_mode_mismatch():
     with pytest.raises(ValueError):
         RegionYearCounts(mode="dedup") + RegionYearCounts(mode="country")
@@ -299,3 +333,14 @@ def test_birc_share_points_modes():
     assert total["AB"] == 0.0
     with pytest.raises(ValueError):
         birc_share_points(table, "per-year")
+
+
+def test_birc_share_points_of_reports_are_those_of_profile_sets():
+    table = {"AA": _table_entry("AA", 4, 3, 3), "AB": _table_entry("AB", 2, 0, 0),
+             "AC": _table_entry("AC", 0, 0, 0), "AD": _table_entry("AD", 0, 1, 2)}
+    reports = {country: five_indicators(ps) for country, ps in table.items()}
+    for denominator in ("international", "total"):
+        assert (birc_share_points(reports, denominator)
+                == birc_share_points(table, denominator))
+    with pytest.raises(ValueError):
+        birc_share_points(reports, "per-year")

@@ -18,7 +18,6 @@ from collabsim.reporting import (
     OutputStager,
     PipelineResult,
     RunConfig,
-    _birc_share_points,
     run_outputs,
     run_pipeline,
 )
@@ -381,13 +380,14 @@ def test_birc_share_points_from_the_reports(tmp_path):
     arrays = ProfileTable(disc, partner, ["AR", "BE"], ["BIO"])
     for table, reports in ((result.table, result.reports),
                            (arrays, table_reports(arrays))):
+        by_country = {r.country: r for r in reports}
         for denominator in ("international", "total"):
-            points = _birc_share_points(reports, denominator)
+            points = birc_share_points(by_country, denominator)
             assert points == birc_share_points(dict(table), denominator)
-    assert dict(_birc_share_points(result.reports, "international"))[
-        "FR"] is None
-    assert dict(_birc_share_points(table_reports(arrays), "total")) == {
-        "AR": 0.5, "BE": None}
+    assert dict(birc_share_points({r.country: r for r in result.reports},
+                                  "international"))["FR"] is None
+    assert dict(birc_share_points({r.country: r for r in table_reports(arrays)},
+                                  "total")) == {"AR": 0.5, "BE": None}
 
 
 def test_profile_dump_equals_the_recount(tmp_path, monkeypatch):

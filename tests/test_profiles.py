@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from collabsim import profiles
 from collabsim.aggregates import RegionYearCounts
-from collabsim.classify import classify
+from collabsim.classify import _summed, classify
 from collabsim.corpus import PublicationRecord, RegionMap
 from collabsim.profiles import (
     BIRC,
@@ -24,6 +24,7 @@ from collabsim.profiles import (
     dump_rows,
     merge_tables,
 )
+from collabsim.similarity import five_indicators, table_reports
 
 from oracle import recount, recount_regions, random_records
 
@@ -210,14 +211,13 @@ def _folded(records, mega_threshold=None, region_map=None, mode="dedup"):
     return fold.table(), fold.region_counts()
 
 
-def test_profile_table_is_a_read_only_memoised_mapping():
+def test_profile_table_is_a_read_only_mapping():
     records = random_records(random.Random(3), 300, max_countries=6)
     fold = _fold_of(records, 3, None, "dedup")
     table, (expected, _) = fold.table(), _per_record(records, 3)
     assert table == expected and expected == table
     assert list(table) == list(expected) and len(table) == len(expected)
     country = next(iter(table))
-    assert table[country] is table[country]
     assert country in table and "ZZ" not in table and table.get("ZZ") is None
     with pytest.raises(KeyError):
         table["ZZ"]
@@ -228,7 +228,12 @@ def test_profile_table_is_a_read_only_memoised_mapping():
     copy = dict(table)
     copy["ZZ"] = CountryProfileSet.empty("ZZ")
     assert "ZZ" not in table
-    fold.add(_rec("later", {"S0"}, {country, "ZZ"}))  # the table keeps its counts
+    later = _rec("later", {"S0"}, {country, "ZZ"})
+    accumulate(copy, later, classify(later))  # the copy shares no set
+    assert table == expected
+    assert table_reports(table) == [five_indicators(table[c])
+                                    for c in sorted(table)]
+    fold.add(later)  # the table keeps its counts
     assert table == expected and fold.table() != expected
 
 
@@ -294,6 +299,22 @@ def test_decomposition_invariants_hold_after_build():
         assert ps.decomposition_ok()
         for profile in list(ps.disciplinary.values()) + list(ps.partner.values()):
             assert all(isinstance(n, int) and n > 0 for n in profile.values())
+
+
+def test_decomposition_fails_on_a_broken_identity():
+    ps = build_profiles([_rec("p", {"A"}, {"NL", "ES"})])["NL"]
+    assert ps.decomposition_ok()
+    missing = CountryProfileSet(
+        "NL", {**ps.disciplinary, INTERNATIONAL: {}}, ps.partner, ps.pub_counts)
+    assert not missing.decomposition_ok()  # a birc count not in international
+    # NL partners itself, and birc + mirc + mega == international still holds
+    own = {family: {**ps.partner[family], "NL": 1}
+           for family in (INTERNATIONAL, BIRC)}
+    selfish = CountryProfileSet("NL", ps.disciplinary, {**ps.partner, **own},
+                                ps.pub_counts)
+    assert _summed(_summed(selfish.partner[BIRC], selfish.partner[MIRC]),
+                   selfish.partner["mega"]) == selfish.partner[INTERNATIONAL]
+    assert not selfish.decomposition_ok()
 
 
 def test_build_empty_stream():
