@@ -28,8 +28,9 @@ import re
 import signal
 import stat
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import starmap
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator
 
@@ -115,54 +116,58 @@ class PublicationRecord:
     countries: frozenset[str]
 
 
-class _ByteRange(io.RawIOBase):
-    """Raw reader of at most ``limit`` bytes (None: all) of an open binary
-    file from its current position; ``sha``, a hashlib object, is updated
-    with every byte read."""
-
-    def __init__(self, raw, limit: int | None, sha=None):
-        self._raw, self._left, self._sha = raw, limit, sha
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view, view[:self._left] as part:
-            n = self._raw.readinto(part)
-            if self._sha is not None:
-                self._sha.update(part[:n])
-        if self._left is not None:
-            self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
+# Corpus bytes read at a time: 16 KiB and 1 MiB read the 1M corpus 20 % slower,
+# and in one series 1 MiB added 4.8 MB to a dirty validate's 17.5 MB peak RSS.
+READ_CHUNK = 1 << 16
 
 
-def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
-    """Open a corpus, or its bytes ``[start, end)`` (``end`` None: to the
-    end), for reading lines.
-
-    Lines end at LF, CR LF or a lone CR; a BOM is dropped at offset 0
-    only, and each byte that is not UTF-8 becomes a lone surrogate, so
-    that :func:`parse_record` counts its line as malformed instead of
-    raising. ``sha``, a hashlib object, is updated with every byte read.
-    """
-    raw = open(path, "rb", buffering=0)
+def _chunks(raw, start: int, end: int | None, sha) -> Iterator[bytes]:
+    """The bytes ``[start, end)`` (``end`` None: to the end) of the binary
+    file ``raw`` in chunks cut after their last LF; a partial line goes on
+    as pieces, joined once and freed before the chunk is read. A BOM is
+    dropped at offset 0 only; ``sha`` is updated with every byte read."""
     if start:
         raw.seek(start)
-    if end is not None or sha is not None:
-        raw = _ByteRange(raw, None if end is None else end - start, sha)
-    return io.TextIOWrapper(io.BufferedReader(raw),
-                            encoding="utf-8-sig" if start == 0 else "utf-8",
-                            errors="surrogateescape")
+    left = float("inf") if end is None else end - start
+    bom = b"" if start else b"\xef\xbb\xbf"
+    pieces = []
+    while left > 0 and (data := raw.read(min(left, READ_CHUNK))):
+        if sha is not None:
+            sha.update(data)
+        left -= len(data)
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            pieces.append(data[:cut])
+            chunk = b"".join(pieces).removeprefix(bom)
+            pieces, bom = [data[cut:]], b""
+            yield chunk
+        else:
+            pieces.append(data)
+    yield b"".join(pieces).removeprefix(bom)
+
+
+@contextmanager
+def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
+    """Open a corpus, or its bytes ``[start, end)`` (``end`` None: to the
+    end, of a stream too), as an iterator of its lines that is closed when
+    the ``with`` block is left; every corpus pass reads through it.
+
+    Bytes are read :data:`READ_CHUNK` at a time, cut after an LF, and each
+    chunk's lines are read in C. Lines end at LF, CR LF or a lone CR; a BOM
+    is dropped at offset 0 only, and a byte that is not UTF-8 becomes a lone
+    surrogate, which :func:`parse_record` counts as malformed. ``sha``, a
+    hashlib object, is updated with every byte read.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        yield chain.from_iterable(
+            io.TextIOWrapper(io.BytesIO(chunk), "utf-8", "surrogateescape")
+            for chunk in _chunks(raw, start, end, sha))
 
 
 def _utf8_ok(text: str) -> bool:
     """True if ``text`` can be written as UTF-8: it holds no surrogate, be
-    it an undecodable input byte (:func:`open_corpus`) or an escaped lone
-    surrogate."""
+    it a byte the chunk reader could not decode (:func:`open_corpus`) or an
+    escaped lone surrogate."""
     if text.isascii():
         return True
     try:
@@ -556,14 +561,6 @@ def _cores() -> int:
 SHARD_WORKERS = min(_cores(), 4)
 
 
-def _line_start(fh, pos: int) -> int:
-    """The offset just after the first newline byte at or after ``pos`` in
-    the binary file ``fh``, or the end of the file."""
-    fh.seek(pos)
-    fh.readline()
-    return fh.tell()
-
-
 def _byte_ranges(path) -> list[tuple[int, int | None]]:
     """``(start, end)`` byte ranges covering the corpus at ``path``, each
     cut just after an LF byte, so that no CR LF pair and no UTF-8 sequence
@@ -579,7 +576,9 @@ def _byte_ranges(path) -> list[tuple[int, int | None]]:
     cuts = [0]
     with open(path, "rb") as fh:
         for i in range(1, n):
-            cut = _line_start(fh, info.st_size * i // n)
+            fh.seek(info.st_size * i // n)
+            fh.readline()  # on to just after the next LF, or to the end
+            cut = fh.tell()
             if cuts[-1] < cut < info.st_size:
                 cuts.append(cut)
     return list(zip(cuts, cuts[1:] + [None]))
@@ -625,9 +624,9 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
     a fail-fast run raises the error of the earliest failing line, and a
     worker that raises or dies without a result fails the run; the other
     workers are then killed. Every worker is reaped before this returns.
-    With ``sha``, a hashlib object, the corpus is read as one range and
-    ``sha`` is updated with every byte read: a stream cannot be read again
-    to digest it.
+    Every range is read by :func:`open_corpus`. With ``sha``, a hashlib
+    object, the corpus is read as one range, which updates ``sha`` with
+    every byte: a stream cannot be read again to digest it.
     """
     ranges = [(0, None)] if sha is not None else _byte_ranges(path)
     workers = []  # (pid, pipe) of each worker not yet reaped, in file order

@@ -613,7 +613,7 @@ def test_accepting_loop_matches_checked_reference(lines, fail_fast, action,
         regions = Path(tmp) / "regions.csv"
         regions.write_text("country,region\nNL,North\nES,South\n")
         with open_corpus(path) as fh:
-            lines = fh.readlines()  # as the pipeline reads them
+            lines = list(fh)  # as the pipeline reads them
         cfg = RunConfig(path, regions, Path(tmp) / "out", mega_threshold=mega,
                         region_counting=counting, fail_fast=fail_fast,
                         unmapped_policy=action)
@@ -718,7 +718,7 @@ def test_layout_recogniser_matches_checked_reference(lines, fail_fast, action):
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
         with open_corpus(path) as fh:
-            lines = fh.readlines()  # as fold_corpus reads them
+            lines = list(fh)  # as fold_corpus reads them
         records, stats, error = _checked_reference(lines, {"NL", "ES"}, policy)
         # the field caches clear mid-stream; the file folds in three ranges
         mp.setattr(corpus, "FIELD_CACHE_SIZE", 2)

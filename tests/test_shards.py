@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from collabsim import corpus
 from collabsim.cli import main
-from collabsim.corpus import CorpusError, fold_corpus, load_region_map
+from collabsim.corpus import (CorpusError, ValidationPolicy, fold_corpus,
+                              load_region_map)
 from collabsim.options import run_validate
 from collabsim.reporting import RunConfig, run_outputs
 
@@ -108,6 +109,11 @@ def test_sharded_runs_equal_one_range(data, min_bytes, workers, action):
     _no_child_left()
 
 
+def _read(path, *span):
+    with corpus.open_corpus(path, *span) as fh:
+        return list(fh)
+
+
 def test_ranges_read_as_the_whole(tmp_path):
     """Cut after any newline byte, two ranges read the lines of the whole:
     a BOM is dropped at offset 0 only, a lone CR still ends a line, and an
@@ -116,18 +122,61 @@ def test_ranges_read_as_the_whole(tmp_path):
             + b"x\ry\r\n\n" + "é".encode() + b"\n" + BOM + b"z")
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-
-    def lines(*span):
-        with corpus.open_corpus(path, *span) as fh:
-            return fh.readlines()
-
-    whole = lines()
+    whole = _read(path)
     assert whole[0] == '{"id":"a"}\n' and whole[1][0] == "\ufeff"
     assert whole[-1] == "\ufeffz" and "x\n" in whole
     cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
     for cut in cuts[:-1]:
-        assert lines(0, cut) + lines(cut) == whole
-        assert lines(0, cut) + lines(cut, len(data)) == whole
+        assert _read(path, 0, cut) + _read(path, cut) == whole
+        assert _read(path, 0, cut) + _read(path, cut, len(data)) == whole
+
+
+# the pieces of a file the chunk reader must read as a buffered text file
+# does: the line ends of universal newlines and the ones only str.splitlines
+# knows, BOMs, bytes that are not UTF-8, and a line longer than a chunk
+_READ_PIECE = st.sampled_from([
+    b"\n", b"\r", b"\r\n", b"\x85", "\u2028".encode(), b"\v", b"\f",
+    b"\x1c", BOM, b"\xff", b"\xe2\x82", "é€".encode(), b"x" * 20, b"ab"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(_READ_PIECE, max_size=24), st.integers(1, 8))
+def test_chunk_reader_reads_as_a_text_file(bom, pieces, chunk):
+    """With chunks of a few bytes, the whole file and every pair of ranges
+    cut after an LF read the lines a UTF-8 text file gives."""
+    data = (BOM if bom else b"") + b"".join(pieces)
+    expected = io.TextIOWrapper(io.BytesIO(data), "utf-8-sig",
+                                "surrogateescape").readlines()
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "READ_CHUNK", chunk)
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        assert _read(path) == expected
+        for cut in (i + 1 for i, byte in enumerate(data) if byte == ord("\n")):
+            assert _read(path, 0, cut) + _read(path, cut) == expected
+            assert _read(path, 0, cut) + _read(path, cut, len(data)) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd")
+def test_an_early_stop_leaves_no_file_open(tmp_path, monkeypatch):
+    """A fail-fast fold that fails on line 1 of a file read in many chunks
+    and ranges, and a line loop left with break, close what they opened."""
+    path = _lines_file(tmp_path, bad=(1,))
+    monkeypatch.setattr(corpus, "READ_CHUNK", 64)
+    monkeypatch.setattr(corpus, "SHARD_MIN_BYTES", 512)
+    monkeypatch.setattr(corpus, "SHARD_WORKERS", 3)
+    assert len(corpus._byte_ranges(path)) == 3
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(CorpusError, match="^line 1: "):
+        fold_corpus(path, list, policy=ValidationPolicy(fail_fast=True))
+    _no_child_left()
+    with corpus.open_corpus(path) as lines:
+        for line in lines:
+            break
+    assert line == "garbage\n"
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def _lines_file(tmp_path, bad=()):
