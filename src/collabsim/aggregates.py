@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .classify import CollabKind, CollaborationType, _summed, birc_share
-from .corpus import PublicationRecord, RegionMap, region_of
+from .corpus import PublicationRecord, RegionMap, _check_choice, region_of
 from .options import (  # noqa: F401 (re-export)
     CAGR,
     GROWTH_METHODS,
@@ -138,9 +138,7 @@ def growth_rate(annual_counts: dict[int, float],
     on year. Zero-count years are skipped by both; fewer than two usable
     years means the rate is undefined (None).
     """
-    if method not in GROWTH_METHODS:
-        raise ValueError(f"unknown growth method {method!r}; "
-                         f"valid: {', '.join(GROWTH_METHODS)}")
+    _check_choice("growth method", method, GROWTH_METHODS)
     usable = sorted((year, n) for year, n in annual_counts.items() if n > 0)
     if len(usable) < 2:
         return None
@@ -169,8 +167,7 @@ class RegionYearCounts:
     counts: dict[str, dict[str, dict[int, int]]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in REGION_COUNTING_MODES:
-            raise ValueError(f"unknown region counting mode {self.mode!r}")
+        _check_choice("region counting mode", self.mode, REGION_COUNTING_MODES)
 
     def add(self, record: PublicationRecord, ctype: CollaborationType,
             region_map: RegionMap | None = None) -> None:
@@ -286,9 +283,7 @@ def birc_share_points(
     """Per-country bilateral share, either of international output (default)
     or of all output, in country order. ``table`` maps each country to its
     profile set or similarity report; both carry its ``pub_counts``."""
-    if denominator not in SHARE_DENOMINATORS:
-        raise ValueError(f"unknown denominator {denominator!r}; "
-                         f"valid: {', '.join(SHARE_DENOMINATORS)}")
+    _check_choice("denominator", denominator, SHARE_DENOMINATORS)
     points: list[tuple[str, float | None]] = []
     for country in sorted(table):
         counts = table[country].pub_counts

@@ -15,9 +15,6 @@ class CollabKind(str, Enum):
     MEGA = "mega_multilateral"
 
 
-INTERNATIONAL_KINDS = frozenset(
-    {CollabKind.BILATERAL, CollabKind.MULTILATERAL, CollabKind.MEGA})
-
 _KINDS = tuple(CollabKind)  # in kind index order
 
 
@@ -44,7 +41,7 @@ class CollaborationType:
 
     @property
     def is_international(self) -> bool:
-        return self.kind in INTERNATIONAL_KINDS
+        return self.kind is not CollabKind.DOMESTIC
 
 
 def classify(record: PublicationRecord,

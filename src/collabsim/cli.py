@@ -14,7 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .corpus import UNMAPPED_ACTIONS, CorpusError, RegionMapError
+from .corpus import (DEFAULT_YEAR_WINDOW, UNMAPPED_ACTIONS, CorpusError,
+                     RegionMapError)
 from .options import (
     GROWTH_METHODS,
     REGION_COUNTING_MODES,
@@ -70,8 +71,9 @@ def _add_analysis_args(sub: argparse.ArgumentParser,
                      help="restrict scatter datasets to one region")
     sub.add_argument("--fail-fast", action="store_true",
                      help="stop at the first malformed line, year outside "
-                          "1900-2100, or missing subject or country; an "
-                          "unmapped record follows --unmapped-policy alone")
+                          "{}-{}, or missing subject or country; an unmapped "
+                          "record follows --unmapped-policy alone".format(
+                              *DEFAULT_YEAR_WINDOW))
     sub.add_argument("--unmapped-policy", choices=UNMAPPED_ACTIONS,
                      help="how to treat countries missing from the region map")
 

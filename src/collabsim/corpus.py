@@ -47,6 +47,15 @@ FAIL = "fail"
 KEEP = "keep"
 UNMAPPED_ACTIONS = (SKIP, KEEP, FAIL)
 
+
+def _check_choice(what: str, value, choices: tuple) -> None:
+    """Raise ValueError, naming ``what``, unless ``value`` is one of
+    ``choices``."""
+    if value not in choices:
+        raise ValueError(
+            f"unknown {what} {value!r}; valid: {', '.join(choices)}")
+
+
 # defect categories: RecordError carries the first three; each has a
 # skipped_<category> counter in CorpusStats
 MALFORMED = "malformed"
@@ -431,10 +440,8 @@ class ValidationPolicy:
     def __post_init__(self) -> None:
         if type(self.fail_fast) is not bool:
             raise TypeError(f"fail_fast must be a bool, not {self.fail_fast!r}")
-        if self.unmapped_country not in UNMAPPED_ACTIONS:
-            raise ValueError(f"unknown unmapped_country action "
-                             f"{self.unmapped_country!r}; "
-                             f"valid: {', '.join(UNMAPPED_ACTIONS)}")
+        _check_choice("unmapped_country action", self.unmapped_country,
+                      UNMAPPED_ACTIONS)
 
 
 def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,

@@ -2,9 +2,9 @@
 the ``validate`` run and the staged writing of output files.
 
 Nothing here imports numpy, so ``collabsim validate`` loads only this
-module and :mod:`collabsim.corpus`, and ``collabsim synth`` adds
-:mod:`collabsim.synthgen` and numpy but no profile, similarity or
-aggregate module.
+module, :mod:`collabsim.classify` and :mod:`collabsim.corpus`, and
+``collabsim synth`` adds :mod:`collabsim.synthgen` and numpy but no
+profile, similarity or aggregate module.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
 
+from .classify import check_mega_threshold
 from .corpus import (
     SKIP,
-    UNMAPPED_ACTIONS,
     ValidationPolicy,
+    _check_choice,
     drain,
     fold_corpus,
     load_region_map,
@@ -45,9 +46,10 @@ class UsageError(Exception):
     """Bad flags or configuration (exit code 1)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one analysis run needs; validated before any work."""
+    """Everything one analysis run needs, checked when it is made: a bad
+    value raises :class:`UsageError` before any work."""
 
     input: Path
     regions: Path | None
@@ -64,26 +66,25 @@ class RunConfig:
     fail_fast: bool = False
     unmapped_policy: str = SKIP
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.year_min > self.year_max:
             raise UsageError(f"year filter {self.year_min}:{self.year_max} "
                              "has min > max")
         if not 0.0 <= self.threshold <= 1.0:
             raise UsageError("threshold must lie in [0, 1]")
-        if self.mega_threshold is not None and self.mega_threshold < 3:
-            raise UsageError("mega threshold must be >= 3")
         if self.min_pubs < 0:
             raise UsageError("min-pubs must be >= 0")
-        if self.growth_method not in GROWTH_METHODS:
-            raise UsageError(f"unknown growth method {self.growth_method!r}")
-        if self.fig2_denominator not in SHARE_DENOMINATORS:
-            raise UsageError(
-                f"unknown fig2 denominator {self.fig2_denominator!r}")
-        if self.region_counting not in REGION_COUNTING_MODES:
-            raise UsageError(
-                f"unknown region counting mode {self.region_counting!r}")
-        if self.unmapped_policy not in UNMAPPED_ACTIONS:
-            raise UsageError(f"unknown unmapped policy {self.unmapped_policy!r}")
+        # the rules the library states, in its words
+        try:
+            check_mega_threshold(self.mega_threshold)
+            _check_choice("growth method", self.growth_method, GROWTH_METHODS)
+            _check_choice("denominator", self.fig2_denominator,
+                          SHARE_DENOMINATORS)
+            _check_choice("region counting mode", self.region_counting,
+                          REGION_COUNTING_MODES)
+            self.policy()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     def policy(self) -> ValidationPolicy:
         return ValidationPolicy(self.fail_fast, self.unmapped_policy)
@@ -100,7 +101,6 @@ class RunConfig:
 
 def run_validate(cfg: RunConfig, stream=None) -> int:
     """Validate the corpus and print the counters as one JSON line."""
-    cfg.validate()
     region_map = load_region_map(cfg.regions) if cfg.regions else None
     stats, _ = fold_corpus(cfg.input, drain, region_map, cfg.policy())
     out = stream if stream is not None else sys.stdout

@@ -21,7 +21,7 @@ import numpy as np
 from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
 from .classify import (_KINDS, CollaborationType, TypeCounts, _summed,
                        check_mega_threshold, kind_index)
-from .corpus import PublicationRecord, RegionMap, region_of
+from .corpus import PublicationRecord, RegionMap, _check_choice, region_of
 
 DOMESTIC = "domestic"
 INTERNATIONAL = "international"
@@ -34,7 +34,6 @@ PARTNER_FAMILIES = (INTERNATIONAL, BIRC, MIRC, MEGA)
 
 # the family of each kind index of ProfileFold's count arrays (kind_index)
 _KIND_FAMILIES = (DOMESTIC, BIRC, MIRC, MEGA)
-_FAMILY_BY_KIND = dict(zip(_KINDS, _KIND_FAMILIES))
 
 
 @dataclass
@@ -91,7 +90,7 @@ def accumulate(table: dict[str, CountryProfileSet], record: PublicationRecord,
     the collaboration type; international types also feed the pooled
     international family and add one partner count per co-country.
     """
-    family = _FAMILY_BY_KIND[ctype.kind]
+    family = _KIND_FAMILIES[_KINDS.index(ctype.kind)]
     international = ctype.is_international
     for country in record.countries:
         ps = table.get(country)
@@ -223,18 +222,17 @@ class ProfileFold:
                  region_map: RegionMap | None = None,
                  region_counting: str = REGION_DEDUP):
         check_mega_threshold(mega_threshold)
-        if region_counting not in REGION_COUNTING_MODES:
-            raise ValueError(
-                f"unknown region counting mode {region_counting!r}")
+        _check_choice("region counting mode", region_counting,
+                      REGION_COUNTING_MODES)
         self.mega_threshold = mega_threshold
         self.region_map = region_map
         self.region_counting = region_counting
         self._countries, self._subjects, self._years = _Ids(), _Ids(), _Ids()
         self._regions = _Ids()
         self._region_of: list[int] = []  # country id -> region id
-        self._disc = np.zeros((4, 0, 0), dtype=np.int64)
-        self._partner = np.zeros((4, 0, 0), dtype=np.int64)
-        self._region_years = np.zeros((0, 4, 0), dtype=np.int64)
+        self._disc = np.zeros((len(_KINDS), 0, 0), dtype=np.int64)
+        self._partner = np.zeros((len(_KINDS), 0, 0), dtype=np.int64)
+        self._region_years = np.zeros((0, len(_KINDS), 0), dtype=np.int64)
         self._reset_buffers()
 
     def _reset_buffers(self) -> None:
@@ -272,10 +270,10 @@ class ProfileFold:
         for country in list(self._countries)[len(self._region_of):]:
             self._region_of.append(
                 self._regions[region_of(self.region_map, country)])
-        n_r = len(self._regions)
-        self._disc = _grown(self._disc, (4, n_c, n_s))
-        self._partner = _grown(self._partner, (4, n_c, n_c))
-        self._region_years = _grown(self._region_years, (n_r, 4, n_y))
+        n_r, n_k = len(self._regions), len(_KINDS)
+        self._disc = _grown(self._disc, (n_k, n_c, n_s))
+        self._partner = _grown(self._partner, (n_k, n_c, n_c))
+        self._region_years = _grown(self._region_years, (n_r, n_k, n_y))
         return n_c, n_s, n_y, n_r
 
     def _flush(self) -> None:
@@ -312,8 +310,9 @@ class ProfileFold:
         r_d = np.bincount(owner, minlength=len(k_d))
         r, r_at = r_d[c_set], (np.cumsum(r_d) - r_d)[c_set]
         rec = np.repeat(np.arange(len(k)), r)
-        _scatter_add(self._region_years, (region[_ranges(r_at, r)] * 4
-                                          + kind[rec]) * n_y + year[rec])
+        _scatter_add(self._region_years,
+                     (region[_ranges(r_at, r)] * len(_KINDS) + kind[rec]) * n_y
+                     + year[rec])
 
     def merge(self, other: "ProfileFold") -> "ProfileFold":
         """Add the counts of ``other``, a fold with the same settings, into
@@ -333,7 +332,7 @@ class ProfileFold:
         y = _remap(self._years, other._years)
         self._grow()
         r = _remap(self._regions, other._regions)
-        kinds = np.arange(4)
+        kinds = np.arange(len(_KINDS))
         self._disc[np.ix_(kinds, c, s)] += other._disc
         self._partner[np.ix_(kinds, c, c)] += other._partner
         self._region_years[np.ix_(r, kinds, y)] += other._region_years

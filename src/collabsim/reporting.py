@@ -217,11 +217,6 @@ def scatter_files(result: PipelineResult, cfg: RunConfig):
         yield f"scatter_{name}.csv", header, rows
 
 
-def profiles_rows(result: PipelineResult):
-    header = ["country", "profile_family", "collab_type", "dimension", "count"]
-    return header, [list(row) for row in dump_rows(result.table)]
-
-
 def manifest_text(cfg: RunConfig, subcommand: str, result: PipelineResult,
                   outputs: list[str]) -> str:
     manifest = {
@@ -247,9 +242,11 @@ def manifest_text(cfg: RunConfig, subcommand: str, result: PipelineResult,
 
 def _csv_files(subcommand: str, result: PipelineResult, cfg: RunConfig):
     """Yield (file name, header, rows) for each CSV file ``subcommand``
-    writes; ``report`` writes all but the profile dump."""
+    writes; ``report`` writes all but the profile dump, whose rows stream
+    from the table."""
     if subcommand == "profile":
-        yield PROFILES_CSV, *profiles_rows(result)
+        yield PROFILES_CSV, ["country", "profile_family", "collab_type",
+                             "dimension", "count"], dump_rows(result.table)
     if subcommand in ("similarity", "report"):
         yield COUNTRIES_CSV, *countries_rows(result.reports, result.baseline)
     if subcommand in ("growth", "report"):
@@ -262,7 +259,6 @@ def _csv_files(subcommand: str, result: PipelineResult, cfg: RunConfig):
 
 def run_outputs(subcommand: str, cfg: RunConfig) -> int:
     """Run the pipeline and write the files owned by ``subcommand``."""
-    cfg.validate()
     if cfg.regions is None:
         raise UsageError(f"{subcommand} requires --regions")
     result = run_pipeline(cfg)

@@ -135,9 +135,10 @@ def _default_subjects(n: int) -> list[str]:
     return [f"S{i:03d}" for i in range(n)]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Scenario:
-    """Full parameter set for one synthetic corpus.
+    """Full parameter set for one synthetic corpus, checked by
+    :meth:`validate` when it is made; its fields cannot be reassigned.
 
     ``base_topic`` is a (countries x subjects) row-stochastic matrix;
     ``affinity`` a symmetric non-negative partner-preference matrix whose
@@ -157,6 +158,9 @@ class Scenario:
     years: tuple[int, int]
     pubs_per_country_year: float
     seed: int
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
@@ -236,7 +240,7 @@ class Scenario:
         except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
             raise ScenarioError("years must be a [first, last] pair") from exc
 
-        scenario = cls(
+        return cls(
             countries=countries,
             subjects=subjects,
             base_topic=base,
@@ -250,8 +254,6 @@ class Scenario:
             pubs_per_country_year=_number(spec, "pubs_per_country_year", 50.0),
             seed=seed,
         )
-        scenario.validate()
-        return scenario
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -484,7 +486,6 @@ def _rows(scenario: Scenario) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     multilateral sets are drawn for up to ``SYNTH_BATCH`` records together
     (:func:`_partner_sets`).
     """
-    scenario.validate()
     rng = np.random.default_rng([scenario.seed, 1])
 
     n_c = len(scenario.countries)

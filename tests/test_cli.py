@@ -4,7 +4,8 @@ import os
 import stat
 import subprocess
 import sys
-from dataclasses import fields
+from collections.abc import Iterator
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from collabsim.aggregates import birc_share_points
 from collabsim.cli import _config, build_parser, main
 from collabsim.corpus import _byte_ranges
+from collabsim.options import UsageError
 from collabsim.profiles import CountryProfileSet, ProfileTable
 from collabsim.reporting import (
     OutputStager,
@@ -281,7 +283,39 @@ def test_every_runconfig_field_has_a_flag():
     unset = [f.name for f in fields(RunConfig)
              if getattr(cfg, f.name) == getattr(default, f.name)]
     assert unset == []
-    cfg.validate()
+
+
+# each RunConfig rule: a bad value of its fields, and the flags that give it
+RUNCONFIG_RULES = [
+    ({"year_min": 2017, "year_max": 2008}, ["--years", "2017:2008"]),
+    ({"threshold": 1.5}, ["--threshold", "1.5"]),
+    ({"threshold": math.nan}, ["--threshold", "nan"]),
+    ({"min_pubs": -1}, ["--min-pubs", "-1"]),
+    ({"mega_threshold": 2}, ["--mega-threshold", "2"]),
+    ({"growth_method": "linear"}, ["--growth-method", "linear"]),
+    ({"fig2_denominator": "x"}, ["--fig2-denominator", "x"]),
+    ({"region_counting": "x"}, ["--region-counting", "x"]),
+    ({"unmapped_policy": "x"}, ["--unmapped-policy", "x"]),
+]
+
+
+@pytest.mark.parametrize("bad,flags", RUNCONFIG_RULES)
+def test_runconfig_is_checked_when_made(bad, flags, inputs, tmp_path, capsys):
+    corpus, regions = inputs
+    out = tmp_path / "out"
+    with pytest.raises(UsageError):
+        RunConfig(corpus, regions, out, **bad)
+    cfg = RunConfig(corpus, regions, out)
+    for name, value in bad.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    for command in ("validate", "report"):
+        assert _run([command, "--input", corpus, "--regions", regions,
+                     "--out", out, *flags]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["exit_code"] == 1
+        assert not out.exists()
 
 
 def test_two_runs_byte_identical(inputs, tmp_path):
@@ -322,6 +356,23 @@ def test_profile_dump(inputs, tmp_path):
     assert lines[0] == "country,profile_family,collab_type,dimension,count"
     assert "NL,disciplinary,birc,PHYS,2" in lines
     assert "NL,partner,mirc,ZA,1" in lines
+
+
+def test_profile_streams_its_rows(inputs, tmp_path, monkeypatch):
+    """The profile dump reaches the CSV writer as an iterator, never as a
+    list of every row."""
+    staged = {}
+    stage_csv = OutputStager.stage_csv
+
+    def spy(self, name, header, rows):
+        staged[name] = rows
+        stage_csv(self, name, header, rows)
+
+    monkeypatch.setattr(OutputStager, "stage_csv", spy)
+    corpus, regions = inputs
+    assert _run(["profile", "--input", corpus, "--regions", regions,
+                 "--out", tmp_path / "out"]) == 0
+    assert isinstance(staged["profiles.csv"], Iterator)
 
 
 def _synth_small(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import math
 import statistics
 import string
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_scenario_rejects_oversized_mirc_sets():
 def test_scenario_rejects_wrong_types(overrides, named):
     with pytest.raises(ScenarioError, match=named):
         _scenario(**overrides)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("drift_birc", 2.0, "drift_birc"),
+    ("type_mix", (0.5, 0.5, 0.5), "type_mix"),
+    ("years", (2017, 2008), "years"),
+    ("countries", ("AA", "AA"), "duplicate country"),
+])
+def test_scenario_is_checked_when_made_and_frozen(field, value, named):
+    scenario = _scenario()
+    with pytest.raises(ScenarioError, match=named):
+        replace(scenario, **{field: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(scenario, field, value)
 
 
 def test_scenario_rejects_unknown_keys():
