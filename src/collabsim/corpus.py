@@ -31,7 +31,6 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, starmap
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -305,7 +304,8 @@ def _parse_row(line: str, line_no: int | None = None) -> tuple:
 
 # The canonical corpus line: json.dumps's bytes with compact separators for
 # an object of a str id, an int year and sorted lists of str codes. Each
-# string goes through _json_string, the encoder json.dumps applies to a str.
+# string goes through json.encoder.encode_basestring_ascii, the encoder
+# json.dumps applies to a str.
 _LINE = '{"id":%s,"year":%d,"subjects":[%s],"countries":[%s]}'
 
 
@@ -342,26 +342,14 @@ def _country_set(codes: list[str]) -> frozenset[str]:
     return countries if countries <= _CANONICAL_CODES else frozenset()
 
 
-def _json_strings(codes) -> str:
-    return ",".join(map(_json_string, codes))
-
-
 def record_to_line(record: PublicationRecord) -> str:
     """Serialize a record to its canonical one-line JSON form."""
-    subjects = sorted(record.subjects)
-    countries = sorted(record.countries)
-    if type(record.year) is int:
-        try:
-            return _LINE % (_json_string(record.id), record.year,
-                            _json_strings(subjects), _json_strings(countries))
-        except TypeError:  # an id or code that is not a str
-            pass
     return json.dumps(
         {
             "id": record.id,
             "year": record.year,
-            "subjects": subjects,
-            "countries": countries,
+            "subjects": sorted(record.subjects),
+            "countries": sorted(record.countries),
         },
         separators=(",", ":"),
     )
@@ -463,7 +451,7 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     lo, hi = DEFAULT_YEAR_WINDOW
     fail_fast = policy.fail_fast
     fail_unmapped = policy.unmapped_country == FAIL
-    mapped = (frozenset(region_map.entries)
+    mapped = (frozenset(region_map)
               if region_map is not None and policy.unmapped_country != KEEP
               else None)
     layout = _LAYOUT.fullmatch
@@ -682,24 +670,8 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
             os.waitpid(pid, 0)
 
 
-@dataclass(frozen=True)
-class RegionMap:
-    """Country code -> region name, loaded from a two-column CSV."""
-
-    entries: dict[str, str]
-
-    def region_of(self, country: str, default: str | None = None) -> str | None:
-        return self.entries.get(country, default)
-
-    @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.entries.values())))
-
-    def __contains__(self, country: str) -> bool:
-        return country in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# country code -> region name, as load_region_map reads it from a CSV
+RegionMap = dict[str, str]
 
 
 def region_of(region_map: RegionMap | None, country: str) -> str:
@@ -707,11 +679,11 @@ def region_of(region_map: RegionMap | None, country: str) -> str:
     map or the map does not place it."""
     if region_map is None:
         return UNKNOWN_REGION
-    return region_map.region_of(country, UNKNOWN_REGION)
+    return region_map.get(country, UNKNOWN_REGION)
 
 
 def load_region_map(path, sha=None) -> RegionMap:
-    """Load a ``country,region`` CSV into a :class:`RegionMap`.
+    """Load a ``country,region`` CSV into a ``{country: region}`` dict.
 
     Repeated rows with the same region are tolerated; the same country code
     mapped to two different regions is an error. An empty file yields an
@@ -734,7 +706,7 @@ def load_region_map(path, sha=None) -> RegionMap:
         raise RegionMapError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         log.warning("region map %s is empty", path)
-        return RegionMap({})
+        return {}
     header = rows[0]
     if [cell.strip().lower() for cell in header[:2]] != ["country", "region"]:
         raise RegionMapError(
@@ -757,4 +729,4 @@ def load_region_map(path, sha=None) -> RegionMap:
         entries[code] = region
     if not entries:
         log.warning("region map %s has no entries", path)
-    return RegionMap(entries)
+    return entries

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .corpus import (
     DEFAULT_YEAR_WINDOW,
     PublicationRecord,
     RegionMap,
-    _json_string,
     _utf8_ok,
     normalize_country,
     record_to_line,
@@ -88,13 +89,6 @@ def _number(spec: dict, key: str, default, kind=float):
     return number
 
 
-def _array(spec: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(spec[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{key} must be an array of numbers") from exc
-
-
 def _strings(spec: dict, key: str) -> list:
     values = spec[key]
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
@@ -137,8 +131,10 @@ def _default_subjects(n: int) -> list[str]:
 
 @dataclass(eq=False, frozen=True)
 class Scenario:
-    """Full parameter set for one synthetic corpus, checked by
-    :meth:`validate` when it is made; its fields cannot be reassigned.
+    """Full parameter set for one synthetic corpus, checked when it is
+    made. Its fields can be neither reassigned nor changed in place: the
+    arrays are stored as read-only float copies, ``mirc_size`` as a
+    read-only mapping and the sequences as tuples.
 
     ``base_topic`` is a (countries x subjects) row-stochastic matrix;
     ``affinity`` a symmetric non-negative partner-preference matrix whose
@@ -151,16 +147,13 @@ class Scenario:
     base_topic: np.ndarray
     global_agenda: np.ndarray
     type_mix: tuple[float, float, float]
-    mirc_size: dict[int, float]
+    mirc_size: Mapping[int, float]
     affinity: np.ndarray
     drift_birc: float
     drift_mirc: float
     years: tuple[int, int]
     pubs_per_country_year: float
     seed: int
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
@@ -194,7 +187,7 @@ class Scenario:
         n_c, n_s = len(countries), len(subjects)
 
         if "base_topic" in spec:
-            base = _array(spec, "base_topic")
+            base = spec["base_topic"]
         else:
             alpha = _number(spec, "base_concentration", 0.2)
             if alpha <= 0:
@@ -206,7 +199,7 @@ class Scenario:
                 base = structure_rng.dirichlet(np.full(n_s, alpha), size=n_c)
 
         if "global_agenda" in spec:
-            agenda = _array(spec, "global_agenda")
+            agenda = spec["global_agenda"]
         else:
             agenda = np.full(n_s, 1.0 / n_s)
 
@@ -229,7 +222,7 @@ class Scenario:
             mirc_size = {k: weights[k] / total for k in sizes}
 
         if "affinity" in spec:
-            affinity = _array(spec, "affinity")
+            affinity = spec["affinity"]
         else:
             affinity = np.ones((n_c, n_c))
             np.fill_diagonal(affinity, 0.0)
@@ -266,17 +259,30 @@ class Scenario:
                 raise ScenarioError(f"{path}: invalid UTF-8: {exc}") from exc
         return cls.from_dict(spec)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("countries", "subjects", "type_mix", "years"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "mirc_size",
+                           MappingProxyType(dict(self.mirc_size)))
+        for name in ("base_topic", "global_agenda", "affinity"):
+            try:
+                array = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(
+                    f"{name} must be an array of numbers") from exc
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
         _check_codes(self.countries, self.subjects)
         n_c, n_s = len(self.countries), len(self.subjects)
 
-        base = np.asarray(self.base_topic, dtype=float)
+        base = self.base_topic
         if base.shape != (n_c, n_s):
             raise ScenarioError(
                 f"base_topic must have shape ({n_c}, {n_s}), got {base.shape}")
         if (base < 0).any() or not np.allclose(base.sum(axis=1), 1.0, atol=_PROB_TOL):
             raise ScenarioError("base_topic rows must be probability vectors")
-        agenda = np.asarray(self.global_agenda, dtype=float)
+        agenda = self.global_agenda
         if agenda.shape != (n_s,) or (agenda < 0).any() \
                 or abs(agenda.sum() - 1.0) > _PROB_TOL:
             raise ScenarioError("global_agenda must be a probability vector")
@@ -293,7 +299,7 @@ class Scenario:
             if not 0.0 <= drift <= 1.0:
                 raise ScenarioError(f"{name} must lie in [0, 1]")
 
-        aff = np.asarray(self.affinity, dtype=float)
+        aff = self.affinity
         if aff.shape != (n_c, n_c):
             raise ScenarioError(f"affinity must have shape ({n_c}, {n_c})")
         off_diag = aff.copy()
@@ -341,6 +347,13 @@ class Scenario:
         if not 0 <= self.pubs_per_country_year <= _MAX_PUBS_PER_COUNTRY_YEAR:
             raise ScenarioError("pubs_per_country_year must lie in "
                                 f"[0, {_MAX_PUBS_PER_COUNTRY_YEAR}]")
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so copies are made anew, and
+        # checked, from the field values with mirc_size as a dict
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["mirc_size"] = dict(self.mirc_size)
+        return type(self), tuple(values.values())
 
 
 # Rows are held back until the multilateral sets among them are drawn, a
@@ -490,8 +503,8 @@ def _rows(scenario: Scenario) -> Iterator[tuple[int, int, tuple[int, ...]]]:
 
     n_c = len(scenario.countries)
     n_s = len(scenario.subjects)
-    base = np.asarray(scenario.base_topic, dtype=float)
-    agenda = np.asarray(scenario.global_agenda, dtype=float)
+    base = scenario.base_topic
+    agenda = scenario.global_agenda
 
     p_dom, p_birc, p_mirc = scenario.type_mix
     type_cdf = np.array([p_dom, p_dom + p_birc])
@@ -502,7 +515,7 @@ def _rows(scenario: Scenario) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 (1.0 - scenario.drift_mirc) * base + scenario.drift_mirc * agenda)
     subject_cdfs = [np.cumsum(m, axis=1) for m in mixtures]
 
-    affinity = np.asarray(scenario.affinity, dtype=float).copy()
+    affinity = scenario.affinity.copy()
     np.fill_diagonal(affinity, 0.0)
     row_sums = affinity.sum(axis=1)
     partner_cdfs = [np.cumsum(affinity[i]) / row_sums[i] if row_sums[i] > 0
@@ -511,7 +524,8 @@ def _rows(scenario: Scenario) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     mirc_sizes = sorted(scenario.mirc_size)
     mirc_cdf = np.cumsum([scenario.mirc_size[k] for k in mirc_sizes])
     # further members expected per multilateral record, which sizes the
-    # block of scalar draws; validate checks the weights only when p_mirc > 0
+    # block of scalar draws; a scenario's weights are checked only when
+    # p_mirc > 0
     mean_extra = (sum(w * (k - 1) for k, w in scenario.mirc_size.items())
                   if p_mirc > 0 else 0.0)
 
@@ -630,9 +644,8 @@ def write_corpus(scenario: Scenario, fh) -> int:
 def region_map_for(countries: Iterable[str]) -> RegionMap:
     """Deterministic region assignment for synthetic corpora: the sorted
     country codes are dealt round-robin over the seven region names."""
-    entries = {c: WORLD_BANK_REGIONS[i % len(WORLD_BANK_REGIONS)]
-               for i, c in enumerate(sorted(countries))}
-    return RegionMap(entries)
+    return {c: WORLD_BANK_REGIONS[i % len(WORLD_BANK_REGIONS)]
+            for i, c in enumerate(sorted(countries))}
 
 
 def run_synth(scenario_path, out_path, regions_out=None) -> int:
@@ -646,6 +659,6 @@ def run_synth(scenario_path, out_path, regions_out=None) -> int:
             write_corpus(scenario, fh)
         if regions_out is not None:
             region_map = region_map_for(scenario.countries)
-            rows = [[c, region_map.entries[c]] for c in sorted(region_map.entries)]
+            rows = [[c, region_map[c]] for c in sorted(region_map)]
             stager.stage_csv(regions_out, ["country", "region"], rows)
     return 0

@@ -230,7 +230,6 @@ def _draw(cdf, u):
 def generate_reference(scenario):
     """The scalar synthetic generator, one record and one member at a time:
     the reference whose corpus bytes ``synthgen.generate`` must reproduce."""
-    scenario.validate()
     rng = np.random.default_rng([scenario.seed, 1])
 
     countries = scenario.countries

@@ -48,8 +48,8 @@ def verdict(capfd):
 def _write_regions(path, region_map):
     with open(path, "w", newline="") as fh:
         fh.write("country,region\n")
-        for country in sorted(region_map.entries):
-            fh.write(f"{country},{region_map.entries[country]}\n")
+        for country in sorted(region_map):
+            fh.write(f"{country},{region_map[country]}\n")
 
 
 # 1 ------------------------------------------------------------------------

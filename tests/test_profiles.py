@@ -256,7 +256,7 @@ def test_fold_matches_per_record_path(mega_threshold, mode, region_map):
     assert folded == reference
     # and both agree with the independent oracle
     _assert_matches_recount(folded[0], recount(records, mega_threshold))
-    mapped = region_map.entries if region_map else {}
+    mapped = region_map or {}
     assert folded[1].counts == recount_regions(
         records, lambda c: mapped.get(c, "UNKNOWN"), mode == "country",
         mega_threshold)
@@ -405,7 +405,7 @@ def test_fold_merge_laws(seed, cut1, cut2, mega, mode, region_map):
     whole = _fold_of(records, mega, region_map, mode)
     assert _read(whole.merge(ProfileFold(mega, region_map, mode))) == left
     _assert_matches_recount(left[0], recount(records, mega))
-    mapped = region_map.entries if region_map else {}
+    mapped = region_map or {}
     assert left[1].counts == recount_regions(
         records, lambda code: mapped.get(code, "UNKNOWN"), mode == "country",
         mega)
@@ -475,7 +475,7 @@ def test_set_level_fold_matches_per_record_path(seed, mega, mode, region_map):
     assert folded == reference and merged == reference
     assert list(folded[0]) == list(merged[0]) == list(reference[0])
     _assert_matches_recount(folded[0], recount(records, mega))
-    mapped = region_map.entries if region_map else {}
+    mapped = region_map or {}
     assert folded[1].counts == recount_regions(
         records, lambda code: mapped.get(code, "UNKNOWN"), mode == "country",
         mega)

@@ -1,9 +1,12 @@
+import copy
 import io
 import itertools
 import math
+import pickle
 import statistics
 import string
 from dataclasses import FrozenInstanceError, replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from collabsim.synthgen import (
     WORLD_BANK_REGIONS,
     generate,
     region_map_for,
+    write_corpus,
     write_jsonl,
 )
 
@@ -209,6 +213,60 @@ def test_scenario_is_checked_when_made_and_frozen(field, value, named):
         setattr(scenario, field, value)
 
 
+@pytest.mark.parametrize("change", [
+    lambda s: setitem(s.base_topic, (0, 0), 5),
+    lambda s: s.affinity.fill(0),
+    lambda s: setitem(s.global_agenda, 0, 1),
+    lambda s: s.mirc_size.clear(),
+    lambda s: setitem(s.mirc_size, 3, 2.0),
+], ids=["base_topic", "affinity", "global_agenda", "mirc_size-clear",
+        "mirc_size-set"])
+def test_scenario_fields_cannot_change_in_place(change):
+    scenario = _scenario()
+    with pytest.raises((ValueError, TypeError, AttributeError)):
+        change(scenario)
+
+
+def test_scenario_from_lists_stores_tuples_and_read_only_arrays():
+    affinity = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    base = [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+    agenda = [0.5, 0.5]
+    scenario = Scenario(countries=["AA", "AB", "AC"], subjects=["S1", "S2"],
+                        base_topic=base, global_agenda=agenda,
+                        type_mix=[0.5, 0.3, 0.2], mirc_size={3: 1.0},
+                        affinity=affinity, drift_birc=0.2, drift_mirc=0.8,
+                        years=[2010, 2011], pubs_per_country_year=5.0, seed=1)
+    for name in ("countries", "subjects", "type_mix", "years"):
+        assert type(getattr(scenario, name)) is tuple
+    for name, given in (("base_topic", base), ("global_agenda", agenda),
+                        ("affinity", affinity)):
+        array = getattr(scenario, name)
+        assert array.dtype == float and not array.flags.writeable
+        assert array.tolist() == given
+    # the scenario keeps its own copies of what it was given
+    affinity[0][1] = 7.0
+    assert scenario.affinity[0, 1] == 1.0
+
+
+def _corpus_bytes(scenario):
+    buf = io.StringIO()
+    write_corpus(scenario, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)),
+    copy.deepcopy,
+    replace,
+], ids=["pickle", "deepcopy", "replace"])
+def test_scenario_copies_write_the_same_corpus(clone):
+    scenario = _scenario(mirc_size={"3": 0.7, "4": 0.3})
+    copied = clone(scenario)
+    assert copied is not scenario
+    assert not copied.base_topic.flags.writeable
+    assert _corpus_bytes(copied) == _corpus_bytes(scenario)
+
+
 def test_scenario_rejects_unknown_keys():
     with pytest.raises(ScenarioError, match="unknown scenario keys"):
         Scenario.from_dict({"seed": 1, "n_contries": 5})
@@ -236,11 +294,12 @@ def test_scenario_explicit_lists():
 
 def test_region_map_for_round_robin():
     rmap = region_map_for(["AC", "AA", "AB"])
-    assert rmap.entries["AA"] == WORLD_BANK_REGIONS[0]
-    assert rmap.entries["AB"] == WORLD_BANK_REGIONS[1]
-    assert rmap.entries["AC"] == WORLD_BANK_REGIONS[2]
+    assert type(rmap) is dict
+    assert rmap["AA"] == WORLD_BANK_REGIONS[0]
+    assert rmap["AB"] == WORLD_BANK_REGIONS[1]
+    assert rmap["AC"] == WORLD_BANK_REGIONS[2]
     big = region_map_for([f"A{c}" for c in "ABCDEFGHIJ"])
-    assert set(big.regions) <= set(WORLD_BANK_REGIONS)
+    assert set(big.values()) <= set(WORLD_BANK_REGIONS)
 
 
 _WEIGHT = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, math.nan]))
