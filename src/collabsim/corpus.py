@@ -10,10 +10,11 @@ any free-text -> code resolution happens upstream of this module.
 Ingest reads each line by one of two parsers, which give the same row or
 the same defect: a line in the compact layout ``synth`` writes is matched
 once by one pattern and its array texts are parsed once per cache fill
-(:func:`_accepted`); every other line, and a layout line with a refused
+(:func:`_counted_rows`); every other line, and a layout line with a refused
 field, is decoded once by the checked parser (:func:`_parse_row`), which
 accepts canonical content at once, normalizes the rest and alone words
-every rejection.
+every rejection. A folding pass reads each distinct line of a chunk once,
+with the number of its copies (:class:`_LineCounts`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import re
 import signal
 import stat
 import string
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -154,11 +156,17 @@ def _chunks(raw, start: int, end: int | None, sha) -> Iterator[bytes]:
     yield b"".join(pieces).removeprefix(bom)
 
 
+def _text_lines(chunk: bytes) -> Iterator[str]:
+    """The lines of ``chunk``, decoded in C: they end at LF, CR LF or a lone
+    CR, and a byte that is not UTF-8 becomes a lone surrogate."""
+    return io.TextIOWrapper(io.BytesIO(chunk), "utf-8", "surrogateescape")
+
+
 @contextmanager
 def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
     """Open a corpus, or its bytes ``[start, end)`` (``end`` None: to the
     end, of a stream too), as an iterator of its lines that is closed when
-    the ``with`` block is left; every corpus pass reads through it.
+    the ``with`` block is left.
 
     Bytes are read :data:`READ_CHUNK` at a time, cut after an LF, and each
     chunk's lines are read in C. Lines end at LF, CR LF or a lone CR; a BOM
@@ -168,8 +176,7 @@ def open_corpus(path, start: int = 0, end: int | None = None, sha=None):
     """
     with open(path, "rb", buffering=0) as raw:
         yield chain.from_iterable(
-            io.TextIOWrapper(io.BytesIO(chunk), "utf-8", "surrogateescape")
-            for chunk in _chunks(raw, start, end, sha))
+            map(_text_lines, _chunks(raw, start, end, sha)))
 
 
 def _utf8_ok(text: str) -> bool:
@@ -319,12 +326,21 @@ _LAYOUT = re.compile(
     rf'\{{"id":"({_CHAR}+)","year":(-?(?:0|[1-9][0-9]{{0,17}})),'
     rf'"subjects":\[({_STRINGS})\],"countries":\[({_STRINGS})\]\}}\n?')
 
-# The subjects and countries caches of one _accepted call hold at most this
-# many texts together; a miss at the bound clears the cache of its own field,
-# so a field whose texts rarely repeat does not evict the other's. On the
-# benchmark corpora this cap added at most 0.45 MB to the peak RSS, 1,024 up
-# to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB, to save few
-# parses (see CHANGES.md).
+# The start of a line with a layout id: the LF that ends the line before
+# it, then {"id":"<id>",. Swapping such an id for another (_SAME_ID) changes
+# neither whether the line is accepted nor its year, subjects and countries:
+# both parsers accept any non-empty string id, and the last of two "id" keys
+# wins either way. An empty id, or one with an escape, is not swapped.
+_LEAD_ID = re.compile(rb'\n\{"id":"' + _CHAR.encode() + rb'+",')
+_SAME_ID = b'\n{"id":"_",'
+
+# The subjects and countries caches of one _counted_rows call hold at most
+# this many texts together; a miss at the bound clears the cache of its own
+# field, so a field whose texts rarely repeat does not evict the other's. On
+# the benchmark corpora this cap added at most 0.45 MB to the peak RSS, 1,024
+# up to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB, to save few
+# parses. With each distinct line of a chunk read once, the caches still cut
+# the accepting loop by 10-30 % (see CHANGES.md).
 FIELD_CACHE_SIZE = 512
 
 
@@ -432,11 +448,15 @@ class ValidationPolicy:
                       UNMAPPED_ACTIONS)
 
 
-def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
-              policy: ValidationPolicy | None = None,
-              stats: CorpusStats | None = None) -> Iterator[tuple]:
-    """The accepting loop: one ``(id, year, subjects, countries)`` row, in
-    :class:`PublicationRecord`'s field order, per accepted line.
+def _counted_rows(lines: Iterable[tuple[str, int]],
+                  region_map: "RegionMap | None" = None,
+                  policy: ValidationPolicy | None = None,
+                  stats: CorpusStats | None = None,
+                  ids: list | None = None) -> Iterator[tuple]:
+    """The accepting loop over ``(line, n)`` pairs, each standing for n
+    equal lines: one ``(n, year, subjects, countries)`` row per accepted
+    pair, with n added to every counter the line moves; ``ids``, a list,
+    gets each row's id as the row is yielded.
 
     A line in the canonical layout is matched once, and each of its
     subjects and countries texts is parsed at most once per cache fill
@@ -444,7 +464,8 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     frozenset. Any other line, and a layout line with a refused field,
     goes to :func:`_parse_row`, which alone words every rejection. ``stats``
     is updated in place while the stream is consumed, so callers that stop
-    early still get exact counters for the consumed prefix.
+    early still get exact counters for the consumed prefix. A
+    :class:`CorpusError` names the line the weights add up to.
     """
     policy = policy or ValidationPolicy()
     stats = stats if stats is not None else CorpusStats()
@@ -457,10 +478,11 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
     layout = _LAYOUT.fullmatch
     subject_sets: dict[str, frozenset[str]] = {}
     country_sets: dict[str, frozenset[str]] = {}
-    for line_no, line in enumerate(lines, start=1):
-        stats.total_lines += 1
+    line_no = 0
+    for line, n in lines:
+        line_no += n
+        stats.total_lines += n
         match = layout(line)
-        row = None
         if match is not None:
             rec_id, year, subjects, countries = match.groups()
             subject_set = subject_sets.get(subjects)
@@ -475,36 +497,49 @@ def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
                     country_sets.clear()
                 country_set = country_sets[countries] = _country_set(
                     countries[1:-1].split('","'))
-            if subject_set and country_set:
-                row = rec_id, int(year), subject_set, country_set
-        if row is None:
+        if match is not None and subject_set and country_set:
+            year = int(year)
+        else:
             try:
-                row = _parse_row(line)
+                rec_id, year, subject_set, country_set = _parse_row(line)
             except RecordError as exc:
                 if fail_fast:
                     raise CorpusError(exc.message, line_no) from exc
                 name = _SKIPPED_FIELD[exc.category]
-                setattr(stats, name, getattr(stats, name) + 1)
+                setattr(stats, name, getattr(stats, name) + n)
                 continue
-        year = row[1]
         if not lo <= year <= hi:
             if fail_fast:
                 raise CorpusError(f"year {year} outside accepted window "
                                   f"{lo}-{hi}", line_no)
-            stats.skipped_malformed += 1
+            stats.skipped_malformed += n
             continue
-        if mapped is not None and not row[3] <= mapped:
+        if mapped is not None and not country_set <= mapped:
             if fail_unmapped:
-                unmapped = sorted(row[3] - mapped)
+                unmapped = sorted(country_set - mapped)
                 raise CorpusError(f"unmapped countries {unmapped}", line_no)
-            stats.skipped_unmapped_country += 1
+            stats.skipped_unmapped_country += n
             continue
-        stats.accepted += 1
+        stats.accepted += n
         if stats.year_min is None or year < stats.year_min:
             stats.year_min = year
         if stats.year_max is None or year > stats.year_max:
             stats.year_max = year
-        yield row
+        if ids is not None:
+            ids.append(rec_id)
+        yield n, year, subject_set, country_set
+
+
+def _accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
+              policy: ValidationPolicy | None = None,
+              stats: CorpusStats | None = None) -> Iterator[tuple]:
+    """The accepting loop over plain lines: one ``(id, year, subjects,
+    countries)`` row, in :class:`PublicationRecord`'s field order, per
+    accepted line."""
+    ids = []
+    for _, year, subjects, countries in _counted_rows(
+            zip(lines, repeat(1)), region_map, policy, stats, ids):
+        yield ids.pop(), year, subjects, countries
 
 
 def iter_accepted(lines: Iterable[str], region_map: "RegionMap | None" = None,
@@ -527,7 +562,7 @@ def validate_corpus(lines: Iterable[str],
                     policy: ValidationPolicy | None = None) -> CorpusStats:
     """Run one full validation pass and return the counters."""
     stats = CorpusStats()
-    drain(_accepted(lines, region_map, policy, stats))
+    drain(_counted_rows(zip(lines, repeat(1)), region_map, policy, stats))
     return stats
 
 
@@ -579,11 +614,77 @@ def _byte_ranges(path) -> list[tuple[int, int | None]]:
     return list(zip(cuts, cuts[1:] + [None]))
 
 
+# A counted chunk with more than this share of distinct lines sends the 15
+# chunks after it (about 1 MiB) to the line path: counting costs more than
+# it saves where lines do not repeat. Within one chunk, 39-50 % of the
+# seed-404 bulk_report lines are distinct and 48-62 % of the dirty_validate
+# ones, but 99-100 % of the consortia_report ones.
+COUNTED_DISTINCT_MAX = 0.75
+
+
+class _LineCounts:
+    """The lines of a corpus range as ``(line, n)`` pairs, each standing
+    for n equal lines.
+
+    Each chunk of :func:`_chunks` is counted in C: its layout ids are
+    swapped for one (:data:`_LEAD_ID`), it is split into lines, the lines
+    are counted and each distinct one is decoded once. Three kinds of chunk
+    take the line path instead, each line with n = 1: one that holds a CR,
+    whose lines would keep ends the layout does not match; one longer than
+    two chunks, so that counting does not copy its long line twice more;
+    and the chunks after one that hardly repeated
+    (:data:`COUNTED_DISTINCT_MAX`).
+    ``counted`` is the counted chunk being read, else None, and ``before``
+    the number of lines before it.
+    """
+
+    def __init__(self, chunks: Iterable[bytes]):
+        self._chunks = chunks
+        self.counted: bytes | None = None
+        self.before = 0
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return chain.from_iterable(self._chunk_pairs())
+
+    def _chunk_pairs(self) -> Iterator[Iterator[tuple[str, int]]]:
+        uncounted = 0
+        for chunk in self._chunks:
+            if uncounted or b"\r" in chunk or len(chunk) > 2 * READ_CHUNK:
+                uncounted = max(uncounted - 1, 0)
+                self.counted = None
+                lines = _text_lines(chunk).readlines()
+                yield zip(lines, repeat(1))
+            else:
+                lines = _LEAD_ID.sub(_SAME_ID, chunk).splitlines(keepends=True)
+                if lines:  # no LF comes before the first line
+                    lines[0] = _LEAD_ID.sub(_SAME_ID, b"\n" + lines[0])[1:]
+                counts = Counter(lines)
+                if len(counts) > COUNTED_DISTINCT_MAX * len(lines):
+                    uncounted = 15
+                self.counted = chunk
+                yield zip(map(str, counts, repeat("utf-8"),
+                              repeat("surrogateescape")), counts.values())
+            self.before += len(lines)
+
+
 def _fold_range(path, start: int, end: int | None, fold: Callable,
                 region_map, policy, sha=None) -> tuple[CorpusStats, object]:
     stats = CorpusStats()
-    with open_corpus(path, start, end, sha) as lines:
-        result = fold(_accepted(lines, region_map, policy, stats))
+    with open(path, "rb", buffering=0) as raw:
+        lines = _LineCounts(_chunks(raw, start, end, sha))
+        try:
+            result = fold(_counted_rows(lines, region_map, policy, stats))
+        except CorpusError:
+            if lines.counted is not None:
+                # the line that failed stands for lines of a counted chunk:
+                # read it line by line to fail on its earliest failing line
+                try:
+                    validate_corpus(_text_lines(lines.counted), region_map,
+                                    policy)
+                except CorpusError as exc:
+                    exc.line_no += lines.before
+                    raise exc from None
+            raise
     return stats, result
 
 
@@ -610,16 +711,18 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
     """Fold the accepted rows of the corpus file at ``path``.
 
     The file is split into newline-aligned byte ranges (see
-    :data:`SHARD_MIN_BYTES`); ``fold`` consumes the ``(id, year, subjects,
-    countries)`` rows of one range and returns a picklable result. The
-    first range is folded in this process, every other one in a forked
-    worker. Returns the merged counters and the results in file order.
+    :data:`SHARD_MIN_BYTES`); ``fold`` consumes the ``(n, year, subjects,
+    countries)`` rows of one range, each standing for n accepted lines, and
+    returns a picklable result. Rows carry no id, and their order within a
+    chunk is not the lines' (see :class:`_LineCounts`). The first range is
+    folded in this process, every other one in a forked worker. Returns the
+    merged counters and the results in file order.
 
     Errors keep the meaning of a one-range pass: line numbers are global,
     a fail-fast run raises the error of the earliest failing line, and a
     worker that raises or dies without a result fails the run; the other
     workers are then killed. Every worker is reaped before this returns.
-    Every range is read by :func:`open_corpus`. With ``sha``, a hashlib
+    Every range is read by :func:`_chunks`. With ``sha``, a hashlib
     object, the corpus is read as one range, which updates ``sha`` with
     every byte: a stream cannot be read again to digest it.
     """

@@ -125,7 +125,7 @@ class BuildConfig:
                 and (self.year_max is None or year <= self.year_max))
 
 
-# Pending pair work, k * (k + m) per record of k countries and m subjects,
+# Pending pair work, k * (k + m) per row of k countries and m subjects,
 # at which ProfileFold flushes. It bounds the flush temporaries, the index
 # arrays of one entry per code pair that np.add.at consumes, whatever the
 # consortium sizes; a bound on the record count does not. Measured with the
@@ -149,11 +149,20 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(ends - lengths - starts, lengths)
 
 
-def _scatter_add(total: np.ndarray, index: np.ndarray) -> None:
-    """Add one count per entry of ``index`` into the flat cells of
-    ``total``, a C-contiguous array; the cost follows the entries, not the
-    cells."""
-    np.add.at(total.reshape(-1), index, 1)
+def _scatter_add(total: np.ndarray, index: np.ndarray,
+                 weights: np.ndarray | int) -> None:
+    """Add ``weights[i]`` (or ``weights``, a scalar) into the flat cell
+    ``index[i]`` of ``total``, a C-contiguous array, for every entry; the
+    cost follows the entries, not the cells."""
+    np.add.at(total.reshape(-1), index, weights)
+
+
+def _weights(w: np.ndarray | None, rows: np.ndarray,
+             counts: np.ndarray | int) -> np.ndarray | int:
+    """The weight of each entry, ``counts[i]`` of them for the row
+    ``rows[i]`` of weight ``w[rows[i]]``; 1 for rows all of weight 1
+    (``w`` None), which spares the expansion."""
+    return 1 if w is None else np.repeat(w[rows], counts)
 
 
 def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -202,13 +211,14 @@ def _profile(row: np.ndarray, names: list[str]) -> dict[str, int]:
 class ProfileFold:
     """Whole-counting fold of records into interned-id count arrays.
 
-    ``add`` only appends the record's year, country set and subject set to
-    buffers. Every ``FLUSH_PAIRS`` of pending pair work, each distinct set
-    of the buffers is interned once, in order of first appearance, and
-    (in dedup mode) its regions found once; numpy expands the sets per
-    record and adds one count per (record, code pair) with ``np.add.at``
-    into ``disc[kind, country, subject]``, ``partner[kind, country,
-    partner]`` and ``regions[region, kind, year]``; only the region counts
+    ``add_codes`` only appends a row, the year, country set, subject set
+    and weight n of n equal records, to buffers. Every ``FLUSH_PAIRS`` of
+    pending pair work, each distinct set of the buffers is interned once,
+    in order of first appearance, and (in dedup mode) its regions found
+    once; numpy expands the sets per row and adds the row's weight per
+    (row, code pair) with ``np.add.at`` into ``disc[kind, country,
+    subject]``, ``partner[kind, country, partner]`` and ``regions[region,
+    kind, year]``; only the region counts
     keep a year axis, because only regional growth reads one. The partner
     diagonal ``partner[kind, c, c]`` counts the records of each kind that
     list ``c``. ``table`` (a :class:`ProfileTable` over copies of the
@@ -236,8 +246,8 @@ class ProfileFold:
         self._reset_buffers()
 
     def _reset_buffers(self) -> None:
-        # the year, countries and subjects of each pending record
-        self._y, self._cs, self._ss = [], [], []
+        # the year, countries, subjects and weight of each pending row
+        self._y, self._cs, self._ss, self._w = [], [], [], []
         self._pending = 0
 
     def __getstate__(self) -> dict:
@@ -250,15 +260,16 @@ class ProfileFold:
         self.add_codes(record.year, record.countries, record.subjects)
 
     def add_codes(self, year: int, countries: frozenset[str],
-                  subjects: frozenset[str]) -> None:
-        """Fold one record given as its year and its distinct country and
-        subject codes."""
+                  subjects: frozenset[str], n: int = 1) -> None:
+        """Fold ``n`` records given as their year and their distinct country
+        and subject codes."""
         k = len(countries)
         if k < 1:
             raise ValueError("record has no countries")
         self._y.append(year)
         self._cs.append(countries)
         self._ss.append(subjects)
+        self._w.append(n)
         self._pending += k * (k + len(subjects))
         if self._pending >= FLUSH_PAIRS:
             self._flush()
@@ -279,27 +290,30 @@ class ProfileFold:
     def _flush(self) -> None:
         if not self._y:
             return
-        years, cs, ss = self._y, self._cs, self._ss
+        years, cs, ss, weights = self._y, self._cs, self._ss, self._w
         self._reset_buffers()
         year = _remap(self._years, years)
+        w = None if max(weights) == 1 else np.array(weights, dtype=np.int64)
         c_set, k_d, c_codes = _distinct_sets(self._countries, cs)
         s_set, m_d, s_codes = _distinct_sets(self._subjects, ss)
         n_c, n_s, n_y, n_r = self._grow()
 
-        # per record: its set's size and the offset of its codes
+        # per row: its sets' sizes and the offsets of their codes
         k, c_at = k_d[c_set], (np.cumsum(k_d) - k_d)[c_set]
         m, s_at = m_d[s_set], (np.cumsum(m_d) - m_d)[s_set]
         kind = kind_index(k, self.mega_threshold)
-        # one entry per (record, country)
+        # one entry per (row, country), with the row's weight
         rec = np.repeat(np.arange(len(k)), k)
         row = kind[rec] * n_c + c_codes[_ranges(c_at, k)]
         _scatter_add(self._disc, np.repeat(row, m[rec]) * n_s
-                     + s_codes[_ranges(s_at[rec], m[rec])])
+                     + s_codes[_ranges(s_at[rec], m[rec])],
+                     _weights(w, rec, m[rec]))
         # every ordered (country, partner) pair, diagonal included: the
         # table reads the diagonal as the publication counts, then drops it
         # and the domestic kind from the partner profiles
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
-                     + c_codes[_ranges(c_at[rec], k[rec])])
+                     + c_codes[_ranges(c_at[rec], k[rec])],
+                     _weights(w, rec, k[rec]))
 
         # each distinct country set's regions (once each in dedup mode)
         region = np.asarray(self._region_of, dtype=np.intp)[c_codes]
@@ -312,7 +326,7 @@ class ProfileFold:
         rec = np.repeat(np.arange(len(k)), r)
         _scatter_add(self._region_years,
                      (region[_ranges(r_at, r)] * len(_KINDS) + kind[rec]) * n_y
-                     + year[rec])
+                     + year[rec], _weights(w, rec, 1))
 
     def merge(self, other: "ProfileFold") -> "ProfileFold":
         """Add the counts of ``other``, a fold with the same settings, into

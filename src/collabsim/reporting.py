@@ -99,11 +99,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
         add, year_min, year_max = fold.add_codes, cfg.year_min, cfg.year_max
         n_year_filtered = 0
-        for _, year, subjects, countries in rows:
+        for n, year, subjects, countries in rows:
             if year_min <= year <= year_max:
-                add(year, countries, subjects)
+                add(year, countries, subjects, n)
             else:
-                n_year_filtered += 1
+                n_year_filtered += n
         return fold, n_year_filtered
 
     stats, parts = fold_corpus(cfg.input, fold_range, region_map, cfg.policy(),

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -115,6 +117,45 @@ def _check_codes(countries: tuple[str, ...], subjects: tuple[str, ...]) -> None:
         if not code or code != code.strip() or not _utf8_ok(code):
             raise ScenarioError("subjects must be non-empty, stripped and "
                                 f"valid UTF-8, got {code!r}")
+
+
+def _codes(codes) -> tuple:
+    if isinstance(codes, str):
+        raise TypeError("a string is not a sequence of codes")
+    return tuple(codes)
+
+
+def _numbers(number, n: int, values) -> tuple:
+    values = tuple(map(number, values))
+    if len(values) != n:
+        raise ValueError(f"{len(values)} values, not {n}")
+    return values
+
+
+def _size_weights(sizes) -> Mapping[int, float]:
+    return MappingProxyType({operator.index(size): float(weight)
+                             for size, weight in dict(sizes).items()})
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+# Each field a scenario stores in its own form: the conversion, which raises
+# TypeError or ValueError for a value of another form, and that form's name.
+_STORED = (
+    ("countries", _codes, "a sequence of codes"),
+    ("subjects", _codes, "a sequence of codes"),
+    ("type_mix", partial(_numbers, float, 3),
+     "three numbers: domestic, birc, mirc"),
+    ("years", partial(_numbers, operator.index, 2), "a [first, last] pair"),
+    ("mirc_size", _size_weights, "a mapping of integer set sizes to weights"),
+    ("base_topic", _read_only, "an array of numbers"),
+    ("global_agenda", _read_only, "an array of numbers"),
+    ("affinity", _read_only, "an array of numbers"),
+)
 
 
 def _default_countries(n: int) -> list[str]:
@@ -260,18 +301,11 @@ class Scenario:
         return cls.from_dict(spec)
 
     def __post_init__(self) -> None:
-        for name in ("countries", "subjects", "type_mix", "years"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "mirc_size",
-                           MappingProxyType(dict(self.mirc_size)))
-        for name in ("base_topic", "global_agenda", "affinity"):
+        for name, stored, wording in _STORED:
             try:
-                array = np.array(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(
-                    f"{name} must be an array of numbers") from exc
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+                object.__setattr__(self, name, stored(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(f"{name} must be {wording}") from exc
 
         _check_codes(self.countries, self.subjects)
         n_c, n_s = len(self.countries), len(self.subjects)

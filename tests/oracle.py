@@ -8,7 +8,7 @@ import json
 import math
 import random
 import string
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -135,6 +135,15 @@ def random_records(rng: random.Random, n, n_countries=10, n_subjects=8,
             f"r{i}", rng.randint(years[0], years[1]),
             frozenset(ss), frozenset(cs)))
     return records
+
+
+def expanded(rows):
+    """The (year, subjects, countries) multiset of fold rows, each an
+    ``(n, year, subjects, countries)`` tuple that stands for n records."""
+    multiset = Counter()
+    for n, year, subjects, countries in rows:
+        multiset[year, subjects, countries] += n
+    return multiset
 
 
 def line_reference(record):

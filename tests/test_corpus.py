@@ -2,6 +2,7 @@ import io
 import json
 import random
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -31,6 +32,7 @@ from collabsim.corpus import (
 from collabsim.reporting import RunConfig, run_pipeline
 from collabsim.synthgen import Scenario, generate, write_corpus
 from oracle import (
+    expanded,
     line_reference,
     parse_reference,
     random_records,
@@ -738,7 +740,9 @@ def test_layout_recogniser_matches_checked_reference(lines, fail_fast, action):
         assert got == stats
         folded, parts = fold_corpus(path, list, region_map, policy)
     assert folded == stats
-    assert [PublicationRecord(*row) for part in parts for row in part] == records
+    # fold rows carry weights, not ids or the lines' order
+    assert expanded(row for part in parts for row in part) == Counter(
+        (r.year, r.subjects, r.countries) for r in records)
 
 
 def test_countries_churn_keeps_the_subjects_cache(monkeypatch):

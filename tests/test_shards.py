@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from collabsim.corpus import (CorpusError, ValidationPolicy, fold_corpus,
                               load_region_map)
 from collabsim.options import run_validate
 from collabsim.reporting import RunConfig, run_outputs
+from oracle import expanded
 
 REGIONS = "country,region\nNL,North\nES,South\nZA,South\n"
 GOOD = '{"id":"g%d","year":2010,"subjects":["A"],"countries":["NL","ES"]}'
@@ -62,8 +64,8 @@ def _corpus_bytes(draw):
 
 def _runs(cfg, patch, workers):
     """Everything a configuration of the sharding gives: the byte ranges,
-    the accepted rows and counters, validate's output and every report file,
-    or the fail-fast error."""
+    the counters and the multiset of accepted rows, validate's output and
+    every report file, or the fail-fast error."""
     patch.setattr(corpus, "SHARD_WORKERS", workers)
     ranges = corpus._byte_ranges(cfg.input)
     region_map, policy = load_region_map(cfg.regions), cfg.policy()
@@ -74,7 +76,7 @@ def _runs(cfg, patch, workers):
     else:
         assert stats.balanced()
         assert len(parts) == len(ranges)
-        rows = stats, [row for part in parts for row in part]
+        rows = stats, expanded(row for part in parts for row in part)
     validated = io.StringIO()
     try:
         run_validate(cfg, validated)
@@ -158,6 +160,139 @@ def test_chunk_reader_reads_as_a_text_file(bom, pieces, chunk):
             assert _read(path, 0, cut) + _read(path, cut, len(data)) == expected
 
 
+# lines of the counting reader: layout lines whose ids differ (so that they
+# repeat once counted), ids it must not swap (empty, an escaped quote,
+# non-ASCII, an escaped lone surrogate, an undecodable byte), a second "id"
+# key, other spellings of a record, a BOM line and a line longer than twice
+# any drawn chunk
+_COUNTED_LINE = st.one_of(
+    st.builds(
+        lambda rec_id, year, subjects, countries: (
+            '{"id":"%s","year":%s,"subjects":[%s],"countries":[%s]}'
+            % (rec_id, year, subjects, countries)).encode(
+                "utf-8", "surrogateescape"),
+        st.sampled_from(["p1", "p2", "p 3", "", 'a\\"b', "\u00e9x", "é",
+                         "\\ud800", "\udcff"]),
+        st.sampled_from(["2010", "2012", "1899"]),
+        st.sampled_from(['"A"', '"A","B"', '" C"', '""']),
+        st.sampled_from(['"NL"', '"NL","ES"', '"XX"', '"nl"', '"NLD"'])),
+    st.sampled_from([
+        b'{"id":"p1","year":2010,"subjects":["A"],"countries":["NL"],"id":5}',
+        b'{"id":"p1","year":2010,"subjects":["A"],"countries":["NL"],"id":"q"}',
+        b'{"id": "p1", "year": 2010, "subjects": ["A"], "countries": ["NL"]}',
+        b' {"id":"p2","year":2010,"subjects":["A"],"countries":["NL"]}',
+        BOM + b'{"id":"p1","year":2010,"subjects":["A"],"countries":["NL"]}',
+        b'{"countries":["ES"],"id":"p1","subjects":["B"],"year":2012}',
+        b'{"id":"' + b"x" * 2500 + b'","year":2010,"subjects":["A"],'
+        b'"countries":["NL","ES"]}',
+        b"", b"garbage", b"\xff\xfe"]))
+
+
+@st.composite
+def _counted_corpus(draw):
+    """Lines that all end in LF, or in LF, CR LF or CR."""
+    ends = draw(st.sampled_from([[b"\n"], [b"\n"] * 6 + [b"\r\n", b"\r"]]))
+    pieces = draw(st.lists(st.tuples(_COUNTED_LINE, st.sampled_from(ends)),
+                           max_size=40))
+    return b"".join(line + end for line, end in pieces)
+
+
+def _per_line(path, start, end, region_map, policy):
+    """The counters and the (year, subjects, countries) multiset of the
+    accepted records of bytes [start, end), read line by line, or the
+    fail-fast error."""
+    stats = corpus.CorpusStats()
+    try:
+        with corpus.open_corpus(path, start, end) as lines:
+            records = list(corpus.iter_accepted(lines, region_map, policy,
+                                                stats))
+    except CorpusError as exc:
+        return f"error: {exc}"
+    return stats, Counter((r.year, r.subjects, r.countries) for r in records)
+
+
+def _counted(path, start, end, region_map, policy):
+    try:
+        stats, rows = corpus._fold_range(path, start, end, list, region_map,
+                                         policy)
+    except CorpusError as exc:
+        return f"error: {exc}"
+    return stats, expanded(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_counted_corpus(), st.sampled_from([48, 200, 1000]),
+       st.sampled_from([corpus.COUNTED_DISTINCT_MAX, 1.0]),
+       st.sampled_from(["skip", "keep", "fail"]))
+def test_counted_lines_fold_as_the_lines(data, chunk, distinct_max, action):
+    """Read in chunks that are counted, or not, a range folds to the
+    counters and the row multiset of its lines read one by one, or fails
+    on the same line: the whole file, every pair of ranges cut after an
+    LF, and the file folded in three workers."""
+    policy = ValidationPolicy(action == "fail", action)
+    region_map = {"NL": "North", "ES": "South", "ZA": "South"}
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        patch.setattr(corpus, "READ_CHUNK", chunk)
+        patch.setattr(corpus, "COUNTED_DISTINCT_MAX", distinct_max)
+        whole = _per_line(path, 0, None, region_map, policy)
+        assert _counted(path, 0, None, region_map, policy) == whole
+        for cut in (i + 1 for i, byte in enumerate(data) if byte == ord("\n")):
+            for span in ((0, cut), (cut, None)):
+                assert (_counted(path, *span, region_map, policy)
+                        == _per_line(path, *span, region_map, policy))
+        patch.setattr(corpus, "SHARD_MIN_BYTES", 64)
+        patch.setattr(corpus, "SHARD_WORKERS", 3)
+        try:
+            stats, parts = fold_corpus(path, list, region_map, policy)
+        except CorpusError as exc:
+            assert f"error: {exc}" == whole
+        else:
+            assert (stats, expanded(r for part in parts for r in part)) == whole
+    _no_child_left()
+
+
+def test_repeated_lines_are_parsed_once(tmp_path, monkeypatch):
+    """A chunk of 400 layout lines of four bodies matches four lines, and
+    folds to four rows of weight 100."""
+    bodies = [',"year":%d,"subjects":["A"],"countries":["NL","ES"]}' % year
+              for year in (2010, 2011, 2012, 2013)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join('{"id":"p%d"%s\n' % (i, bodies[i % 4])
+                            for i in range(400)))
+    matched = []
+
+    class Layout:
+        def fullmatch(self, line):
+            matched.append(line)
+            return layout.fullmatch(line)
+
+    layout = corpus._LAYOUT
+    monkeypatch.setattr(corpus, "_LAYOUT", Layout())
+    stats, [rows] = fold_corpus(path, list)
+    assert len(matched) == 4
+    assert sorted(rows) == [(100, year, frozenset({"A"}),
+                             frozenset({"NL", "ES"}))
+                            for year in (2010, 2011, 2012, 2013)]
+    assert stats.accepted == stats.total_lines == 400
+
+
+def test_distinct_lines_take_the_line_path(tmp_path, monkeypatch):
+    """Chunks whose lines do not repeat are counted only at intervals: the
+    first, then the first after the 15 that follow a counted one."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(GOOD % i + "\n" for i in range(40)))
+    monkeypatch.setattr(corpus, "READ_CHUNK", 64)  # one line a chunk
+    with open(path, "rb") as raw:
+        lines = corpus._LineCounts(corpus._chunks(raw, 0, None, None))
+        counted = [lines.counted is not None
+                   for _ in lines._chunk_pairs()]
+    assert len(counted) == 41  # the last, empty chunk too
+    assert [i for i, was in enumerate(counted) if was] == [0, 16, 32]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="no /proc/self/fd")
 def test_an_early_stop_leaves_no_file_open(tmp_path, monkeypatch):
@@ -215,17 +350,20 @@ def test_fail_fast_reports_the_earliest_line(tmp_path, monkeypatch, capsys,
 
 def test_a_failing_worker_fails_the_run(tmp_path, monkeypatch):
     path = _lines_file(tmp_path)
+    # rows carry no id: line 25 is the one of year 2011
+    path.write_text(path.read_text().replace('"g25","year":2010',
+                                             '"g25","year":2011'))
     monkeypatch.setattr(corpus, "SHARD_MIN_BYTES", 64)
     monkeypatch.setattr(corpus, "SHARD_WORKERS", 4)
     parent = os.getpid()
-    stats, counts = fold_corpus(path, lambda rows: sum(1 for _ in rows))
+    stats, counts = fold_corpus(path, lambda rows: sum(n for n, *_ in rows))
     assert len(counts) == 4 and sum(counts) == stats.accepted == 40
 
     def raises(rows):
-        ids = [row[0] for row in rows]
-        if "g25" in ids:
+        years = [row[1] for row in rows]
+        if 2011 in years:
             raise RuntimeError("fold failed")
-        return ids
+        return years
 
     def dies(rows):
         if os.getpid() != parent:

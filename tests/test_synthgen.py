@@ -204,6 +204,10 @@ def test_scenario_rejects_wrong_types(overrides, named):
     ("type_mix", (0.5, 0.5, 0.5), "type_mix"),
     ("years", (2017, 2008), "years"),
     ("countries", ("AA", "AA"), "duplicate country"),
+    ("mirc_size", {"3": 1.0}, "mirc_size"),
+    ("type_mix", (0.5, 0.5), "type_mix"),
+    ("years", (2010,), "years"),
+    ("countries", "AAAB", "countries"),
 ])
 def test_scenario_is_checked_when_made_and_frozen(field, value, named):
     scenario = _scenario()
