@@ -8,13 +8,9 @@ summaries (boxplots, growth rates, scatter datasets). A seeded synthetic
 corpus generator supports desk-scale experiments.
 """
 
-import logging
 from importlib import import_module
 
 __version__ = "0.1.0"
-
-# warnings stay silent unless the application configures logging
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 # Every public name, by the module that defines it.
 _PUBLIC = {

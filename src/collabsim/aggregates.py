@@ -52,6 +52,32 @@ class BoxplotStats:
     outliers: tuple[tuple[str, float], ...] = ()
 
 
+def _quartiles(values: np.ndarray) -> list[float]:
+    """``np.percentile(values, [25, 50, 75])``, bit for bit, without the
+    ``numpy.ma`` import it costs; ``values`` is partitioned in place.
+
+    This is numpy's default ``linear`` rule step by step: the same
+    partition, then between the neighbours of each virtual index the
+    interpolation of numpy's ``_lerp``, which counts back from the upper
+    neighbour from half way on. A NaN, sorted last, makes every quartile
+    that NaN.
+    """
+    last = len(values) - 1
+    at = [last * q for q in (0.25, 0.5, 0.75)]
+    # the neighbours of each virtual index; at or past the end, the last
+    lo = [math.floor(v) if v < last else -1 for v in at]
+    hi = [i + 1 if i >= 0 else -1 for i in lo]
+    values.partition(sorted({0, -1, *lo, *hi}))
+    if math.isnan(values[-1]):
+        return [float(values[-1])] * 3
+    quartiles = []
+    for v, i, j in zip(at, lo, hi):
+        a, b, t = float(values[i]), float(values[j]), v - i
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
+
+
 def boxplot_stats(pairs: Iterable[tuple[str, float]]) -> BoxplotStats:
     """Summarize (country, value) pairs.
 
@@ -63,17 +89,18 @@ def boxplot_stats(pairs: Iterable[tuple[str, float]]) -> BoxplotStats:
     if not pairs:
         raise ValueError("boxplot_stats needs at least one value")
     values = np.asarray([v for _, v in pairs], dtype=float)
-    q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+    minimum, maximum = float(values.min()), float(values.max())
+    q1, median, q3 = _quartiles(values)
     iqr = q3 - q1
     lo, hi = q1 - WHISKER * iqr, q3 + WHISKER * iqr
     outliers = tuple(sorted((c, float(v)) for c, v in pairs if v < lo or v > hi))
     return BoxplotStats(
         n=len(pairs),
-        minimum=float(values.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        maximum=float(values.max()),
+        minimum=minimum,
+        q1=q1,
+        median=median,
+        q3=q3,
+        maximum=maximum,
         outliers=outliers,
     )
 

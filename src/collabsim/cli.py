@@ -8,6 +8,7 @@ Failures print one machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import fields
@@ -157,5 +158,16 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_DATA)
 
 
+def entry() -> int:
+    """The process entry of ``python -m collabsim`` and the ``collabsim``
+    script: :func:`main`, then ``gc.freeze()``, so that the exit of the
+    interpreter does not sweep the objects the run leaves, numpy's among
+    them; a caller of :func:`main` in its own process keeps its collector
+    as it was."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

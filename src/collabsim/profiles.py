@@ -128,10 +128,16 @@ class BuildConfig:
 # Pending pair work, k * (k + m) per row of k countries and m subjects,
 # at which ProfileFold flushes. It bounds the flush temporaries, the index
 # arrays of one entry per code pair that np.add.at consumes, whatever the
-# consortium sizes; a bound on the record count does not. Measured with the
-# sparse add (2-vCPU Xeon): 1 << 12 is slower on consortia, and 1 << 16
-# raises the peak RSS of a bulk report by about 3 MB.
-FLUSH_PAIRS = 1 << 14
+# consortium sizes; a bound on the record count does not. Measured on a
+# 2-vCPU Xeon with the seed-404 benchmark corpora: run_pipeline on one core
+# (best of 5; bulk_report's stays at 0.15 s) and CLI report peak RSS (median
+# of 10 alternating runs). 1 << 12 is slower on consortia.
+#
+#   bound     consortia fold   bulk peak RSS   consortia peak RSS
+#   1 << 14   0.122 s          37.06 MB        40.79 MB
+#   1 << 15   0.115 s          37.48 MB        40.75 MB
+#   1 << 16   0.112 s          38.81 MB        42.25 MB
+FLUSH_PAIRS = 1 << 15
 
 
 class _Ids(dict):
@@ -163,6 +169,16 @@ def _weights(w: np.ndarray | None, rows: np.ndarray,
     ``rows[i]`` of weight ``w[rows[i]]``; 1 for rows all of weight 1
     (``w`` None), which spares the expansion."""
     return 1 if w is None else np.repeat(w[rows], counts)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, an int array, in ascending order:
+    ``np.unique(values)`` without the ``numpy.ma`` import it costs."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -314,13 +330,13 @@ class ProfileFold:
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
                      + c_codes[_ranges(c_at[rec], k[rec])],
                      _weights(w, rec, k[rec]))
+        del rec, row  # released once added, before the region entries
 
         # each distinct country set's regions (once each in dedup mode)
         region = np.asarray(self._region_of, dtype=np.intp)[c_codes]
         owner = np.repeat(np.arange(len(k_d)), k_d)
         if self.region_counting == REGION_DEDUP:
-            distinct = np.unique(owner * n_r + region)
-            owner, region = distinct // n_r, distinct % n_r
+            owner, region = divmod(_distinct(owner * n_r + region), n_r)
         r_d = np.bincount(owner, minlength=len(k_d))
         r, r_at = r_d[c_set], (np.cumsum(r_d) - r_d)[c_set]
         rec = np.repeat(np.arange(len(k)), r)

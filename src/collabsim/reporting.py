@@ -108,10 +108,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     stats, parts = fold_corpus(cfg.input, fold_range, region_map, cfg.policy(),
                                shas["corpus"])
-    fold, n_year_filtered = parts[0]
-    for other, n in parts[1:]:
-        fold.merge(other)
-        n_year_filtered += n
+    fold, n_year_filtered = parts.pop(0)
+    while parts:  # each range's fold is released once merged
+        fold.merge(parts[0][0])
+        n_year_filtered += parts.pop(0)[1]
     table, region_counts = fold.table(), fold.region_counts()
     reports = table_reports(table, region_map)
     baseline = world_baseline(reports, cfg.min_pubs)

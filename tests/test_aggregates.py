@@ -2,6 +2,7 @@ import copy
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +63,31 @@ def test_boxplot_matches_reference_and_order_insensitive(values, rng):
     other = boxplot_stats(shuffled)
     assert (other.q1, other.median, other.q3) == (stats.q1, stats.median, stats.q3)
     assert sorted(v for _, v in other.outliers) == sorted(v for _, v in stats.outliers)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_PLAIN = st.one_of(st.floats(), st.floats(-1, 1).map(lambda v: round(v, 6)),
+                   st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(_PLAIN, min_size=1, max_size=200),
+    # ties: values drawn from a few
+    st.lists(_PLAIN, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=200))))
+def test_boxplot_quartiles_are_numpy_percentile_bit_for_bit(values):
+    stats = boxplot_stats(_pairs(values))
+    array = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        expected = np.percentile(array, [25, 50, 75])
+    assert _bits([stats.q1, stats.median, stats.q3]) == _bits(expected)
+    assert _bits([stats.minimum, stats.maximum]) == _bits(
+        [array.min(), array.max()])
 
 
 def test_boxplot_outliers_beyond_fences():

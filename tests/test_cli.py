@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -135,6 +136,56 @@ def test_validate_loads_no_numpy(inputs, tmp_path, capsys):
         "total_lines": 8, "accepted": 6, "skipped_missing_country": 0,
         "skipped_missing_subject": 0, "skipped_unmapped_country": 1,
         "skipped_malformed": 1, "year_range": [2010, 2012]}
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+def test_runs_load_neither_numpy_ma_nor_logging(inputs, tmp_path, command):
+    # np.unique and np.percentile import numpy.ma; logging loads only with
+    # a warning
+    corpus, regions = inputs
+    out = tmp_path / "out"
+    args = [command, "--input", str(corpus), "--regions", str(regions)]
+    if command == "report":
+        args += ["--out", str(out), "--region-counting", "dedup"]
+    code = ("import sys\n"
+            "from collabsim.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "loaded = {'numpy.ma', 'logging'} & set(sys.modules)\n"
+            "assert not loaded, f'{sys.argv[1]} imported {loaded}'\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if command == "report":  # with regional boxplots
+        assert ("Europe & Central Asia,2,birc_share,"
+                in (out / "regions.csv").read_text())
+
+
+@pytest.mark.parametrize("args, status", [
+    (["validate", "--input", "{corpus}"], 0),
+    (["validate", "--input", "{corpus}", "--years", "x"], 1),
+    (["validate", "--input", "{missing}"], 2),
+], ids=["success", "usage_error", "data_error"])
+def test_module_entry_exits_with_the_status_of_main(inputs, tmp_path, capsys,
+                                                    args, status):
+    args = [arg.format(corpus=inputs[0], missing=tmp_path / "missing.jsonl")
+            for arg in args]
+    proc = subprocess.run([sys.executable, "-m", "collabsim", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == _run(args) == status
+    # only the process entry freezes the collector, after main
+    assert gc.get_freeze_count() == 0
+
+
+def test_process_entry_freezes_the_collector_after_main(inputs):
+    code = ("import gc, sys\n"
+            "from collabsim.cli import entry\n"
+            "status = entry()\n"
+            "assert gc.get_freeze_count() > 0\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "validate", "--input",
+                           str(inputs[0])], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_fail_fast_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import random
 import tempfile
 from collections import Counter
@@ -300,6 +301,10 @@ def test_load_region_map_empty_warns(tmp_path, caplog):
         rmap = load_region_map(path)
     assert len(rmap) == 0
     assert any("empty" in message for message in caplog.messages)
+    # logging loads at the first warning, which gives the package logger a
+    # NullHandler: silent unless the application configures logging
+    handlers = logging.getLogger("collabsim").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
 def test_load_region_map_bad_header(tmp_path):

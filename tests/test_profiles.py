@@ -3,8 +3,9 @@ import random
 import string
 from functools import reduce
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collabsim import profiles
 from collabsim.aggregates import RegionYearCounts
@@ -170,7 +171,7 @@ def _pair_work(records):
 
 def test_build_matches_naive_recount():
     rng = random.Random(7)
-    records = random_records(rng, 2500, max_countries=7)
+    records = random_records(rng, 3700, max_countries=7)
     assert _pair_work(records) > 3 * FLUSH_PAIRS  # several fold flushes
     for config in (BuildConfig(), BuildConfig(mega_threshold=3),
                    BuildConfig(year_min=2010, year_max=2014, mega_threshold=5)):
@@ -248,7 +249,7 @@ _PARTIAL_MAP = RegionMap({c: ("North" if i % 2 else "South")
 @pytest.mark.parametrize("region_map", [None, _PARTIAL_MAP], ids=["no-map", "map"])
 def test_fold_matches_per_record_path(mega_threshold, mode, region_map):
     rng = random.Random(11)
-    records = random_records(rng, 1800, n_countries=14, max_countries=8,
+    records = random_records(rng, 2700, n_countries=14, max_countries=8,
                              max_subjects=4, years=(2005, 2020))
     assert _pair_work(records) > 3 * FLUSH_PAIRS
     reference = _per_record(records, mega_threshold, region_map, mode)
@@ -269,7 +270,7 @@ def test_fold_matches_per_record_path(mega_threshold, mode, region_map):
 
 def test_fold_record_larger_than_flush():
     codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
-    big = _rec("big", {"S1", "S2", "S3"}, codes[:130])
+    big = _rec("big", {"S1", "S2", "S3"}, codes[:190])
     assert _pair_work([big]) > FLUSH_PAIRS
     records = [_rec("a", {"S1"}, codes[:2]), big, _rec("b", {"S2"}, codes[5:9]),
                _rec("c", {"S3"}, codes[200:201], year=2011)]
@@ -479,3 +480,15 @@ def test_set_level_fold_matches_per_record_path(seed, mega, mode, region_map):
     assert folded[1].counts == recount_regions(
         records, lambda code: mapped.get(code, "UNKNOWN"), mode == "country",
         mega)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=60))
+@example([])
+@example([7])
+@example([3, 3, 3])
+@example([2**62, -2**62, 0, 2**62])
+def test_distinct_is_np_unique(values):
+    array = np.array(values, dtype=np.intp)
+    distinct, expected = profiles._distinct(array), np.unique(array)
+    assert distinct.dtype == expected.dtype
+    assert distinct.tolist() == expected.tolist()
