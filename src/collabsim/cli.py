@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -160,10 +161,17 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """The process entry of ``python -m collabsim`` and the ``collabsim``
-    script: :func:`main`, then ``gc.freeze()``, so that the exit of the
-    interpreter does not sweep the objects the run leaves, numpy's among
-    them; a caller of :func:`main` in its own process keeps its collector
-    as it was."""
+    script: :func:`main` with one OpenBLAS thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``, then ``gc.freeze()``.
+
+    numpy is not loaded yet, so its BLAS starts no pool of a thread per
+    extra core, which no command uses and which costs every import of
+    numpy about 35 ms on a 2-vCPU host; the freeze spares the exit of the
+    interpreter a sweep of the objects the run leaves, numpy's among them.
+    A caller of :func:`main` in its own process keeps its environment and
+    collector as they were.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     gc.freeze()
     return status

@@ -188,6 +188,56 @@ def test_process_entry_freezes_the_collector_after_main(inputs):
     assert proc.returncode == 0, proc.stderr
 
 
+def _threads_after_entry(**env) -> int:
+    """The OS threads of a ``python -m collabsim`` process whose main
+    imports numpy, run without the caller's BLAS thread settings but
+    ``env``; main finds numpy not loaded and the BLAS setting made."""
+    code = ("import os, runpy, sys\n"
+            "import collabsim.cli\n"
+            "def main():\n"
+            "    assert 'numpy' not in sys.modules\n"
+            "    print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "    import numpy\n"
+            "    print(len(os.listdir('/proc/self/task')))\n"
+            "    return 0\n"
+            "collabsim.cli.main = main\n"
+            "runpy.run_module('collabsim', run_name='__main__')\n")
+    environ = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**environ, **env}, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    assert setting == env.get("OPENBLAS_NUM_THREADS", "1")
+    return int(threads)
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads in /proc/self/task")
+
+
+@needs_proc
+def test_process_entry_loads_numpy_with_one_blas_thread():
+    assert _threads_after_entry() == 1
+
+
+@needs_proc
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS starts no second thread on one core")
+def test_process_entry_keeps_the_callers_blas_threads():
+    assert _threads_after_entry(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_main_leaves_the_environment_as_it_was(inputs, tmp_path):
+    corpus, regions = inputs
+    before = dict(os.environ)
+    assert _run(["report", "--input", corpus, "--regions", regions,
+                 "--out", tmp_path / "out"]) == 0
+    assert dict(os.environ) == before
+
+
 def test_validate_fail_fast_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     for line in ("garbage", DEEP_JSON, HUGE_YEAR):

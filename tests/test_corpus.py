@@ -766,6 +766,38 @@ def test_countries_churn_keeps_the_subjects_cache(monkeypatch):
     assert sorted(parsed) == [["S0"], ["S1"], ["S2"]]
 
 
+# country spellings in the layout: canonical, lower-case, padded and mixed
+# ones, which both parsers normalize, and ones both refuse
+_COUNTRY_SPELLINGS = ["NL", "nl", " NL", "Nl ", " es ", "eS", "ES", "XX",
+                      "xx", "N L", "NLD", "N", "", " "]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_COUNTRY_SPELLINGS), min_size=1, max_size=4))
+def test_layout_normalizes_countries_as_parse_record(codes):
+    """The layout path gives parse_record's row or error; a countries text
+    that normalizes to canonical codes does not reach the checked parser."""
+    line = ('{"id":"p1","year":2010,"subjects":["A"],"countries":[%s]}\n'
+            % ",".join(f'"{code}"' for code in codes))
+    assert corpus._LAYOUT.fullmatch(line)
+    try:
+        expected, error = parse_record(line, 1), None
+    except RecordError as exc:
+        expected, error = None, str(exc)
+    checked = []
+    parse_row = corpus._parse_row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_parse_row",
+                   lambda *args: checked.append(args) or parse_row(*args))
+        if error is None:
+            assert list(iter_accepted([line])) == [expected]
+            assert checked == []
+        else:
+            with pytest.raises(CorpusError) as err:
+                list(iter_accepted([line], policy=ValidationPolicy(True)))
+            assert str(err.value) == error
+
+
 # printable ASCII but '"' and '\\': the strings the layout recogniser reads
 _LAYOUT_SAFE = "".join(c for c in map(chr, range(0x20, 0x7f))
                        if c not in '"\\')
