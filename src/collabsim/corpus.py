@@ -15,6 +15,12 @@ field, is decoded once by the checked parser (:func:`_parse_row`), which
 accepts content the field rules take at once and alone words every
 rejection. A folding pass reads each distinct line of a chunk once,
 with the number of its copies (:class:`_LineCounts`).
+
+The profile fold reads a chunk as columns (:meth:`AcceptedRows.blocks`,
+:mod:`collabsim.columns`): the layout lines whose fields are already
+canonical are decoded in numpy, and every other line, with its weight,
+takes the accepting loop above. ``validate`` folds no profile and keeps the
+loop alone, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -66,10 +72,12 @@ DEFECT_CATEGORIES = (MALFORMED, MISSING_COUNTRY, MISSING_SUBJECT,
 # validate run by about 3 %
 _SKIPPED_FIELD = {c: "skipped_" + c for c in DEFECT_CATEGORIES}
 
-# the valid country codes, AA..ZZ; a string in this set is already stripped
-# and upper case, so normalize_country leaves it unchanged
-_CANONICAL_CODES = frozenset(a + b for a in string.ascii_uppercase
-                             for b in string.ascii_uppercase)
+# the valid country codes, AA..ZZ, in the order of their fixed ids
+# (a - 65) * 26 + (b - 65) for the letter bytes a and b; a string in this set
+# is already stripped and upper case, so normalize_country leaves it unchanged
+_CODES = tuple(a + b for a in string.ascii_uppercase
+               for b in string.ascii_uppercase)
+_CANONICAL_CODES = frozenset(_CODES)
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -337,7 +345,17 @@ _SAME_ID = b'\n{"id":"_",'
 # the benchmark corpora this cap added at most 0.45 MB to the peak RSS, 1,024
 # up to 0.8 MB (5 % of a dirty validate) and 65,536 up to 9.2 MB, to save few
 # parses. With each distinct line of a chunk read once, the caches still cut
-# the accepting loop by 10-30 % (see CHANGES.md).
+# the accepting loop by 10-30 % (see CHANGES.md). The profile fold's subjects
+# cache (profiles._SubjectIds) has the same bound. Re-measured with the fold
+# reading columns (2-vCPU Xeon, seed-404 corpora): one-core run_pipeline
+# process time (best of 3, median of 5 processes) and CLI report peak RSS
+# (median of 5 alternating runs). A larger bound also grows the line loop's
+# caches, which 1,024 made up to 0.8 MB larger in a dirty validate.
+#
+#   bound   consortia fold   dirty fold   bulk RSS    consortia RSS
+#   128     0.074 s          0.332 s      37.05 MB    40.73 MB
+#   512     0.063 s          0.333 s      37.09 MB    40.75 MB
+#   2048    0.060 s          0.319 s      37.01 MB    40.79 MB
 FIELD_CACHE_SIZE = 512
 
 
@@ -636,7 +654,8 @@ COUNTED_DISTINCT_MAX = 0.75
 
 class _LineCounts:
     """The lines of a corpus range as ``(line, n)`` pairs, each standing
-    for n equal lines.
+    for n equal lines; :func:`collabsim.columns.read_blocks` reads the same
+    chunks as columns.
 
     Each chunk of :func:`_chunks` is counted in C: its layout ids are
     swapped for one (:data:`_LEAD_ID`), it is split into lines, the lines
@@ -645,9 +664,10 @@ class _LineCounts:
     whose lines would keep ends the layout does not match; one longer than
     two chunks, so that counting does not copy its long line twice more;
     and the chunks after one that hardly repeated
-    (:data:`COUNTED_DISTINCT_MAX`).
-    ``counted`` is the counted chunk being read, else None, and ``before``
-    the number of lines before it.
+    (:data:`COUNTED_DISTINCT_MAX`); read in columns, these last are matched
+    as they are read. ``counted`` is the chunk being read whose lines are
+    not taken one by one in file order, else None: a counted chunk, or any
+    chunk read in columns. ``before`` is the number of lines before it.
     """
 
     def __init__(self, chunks: Iterable[bytes]):
@@ -658,14 +678,20 @@ class _LineCounts:
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return chain.from_iterable(self._chunk_pairs())
 
-    def _chunk_pairs(self) -> Iterator[Iterator[tuple[str, int]]]:
+    @staticmethod
+    def line_path(chunk: bytes) -> bool:
+        """Whether ``chunk`` takes the line path whether or not its lines
+        repeat: it holds a CR or is longer than two chunks."""
+        return b"\r" in chunk or len(chunk) > 2 * READ_CHUNK
+
+    def counted_chunks(self) -> Iterator[tuple[bytes, Counter | None]]:
+        """Each chunk with the counts of its lines, ids swapped, or with
+        None where it is not counted."""
         uncounted = 0
         for chunk in self._chunks:
-            if uncounted or b"\r" in chunk or len(chunk) > 2 * READ_CHUNK:
+            if uncounted or self.line_path(chunk):
                 uncounted = max(uncounted - 1, 0)
-                self.counted = None
-                lines = _text_lines(chunk).readlines()
-                yield zip(lines, repeat(1))
+                yield chunk, None
             else:
                 lines = _LEAD_ID.sub(_SAME_ID, chunk).splitlines(keepends=True)
                 if lines:  # no LF comes before the first line
@@ -673,10 +699,45 @@ class _LineCounts:
                 counts = Counter(lines)
                 if len(counts) > COUNTED_DISTINCT_MAX * len(lines):
                     uncounted = 15
+                yield chunk, counts
+
+    def _chunk_pairs(self) -> Iterator[Iterator[tuple[str, int]]]:
+        for chunk, counts in self.counted_chunks():
+            if counts is None:
+                self.counted = None
+                lines = _text_lines(chunk).readlines()
+                yield zip(lines, repeat(1))
+                self.before += len(lines)
+            else:
                 self.counted = chunk
                 yield zip(map(str, counts, repeat("utf-8"),
                               repeat("surrogateescape")), counts.values())
-            self.before += len(lines)
+                self.before += sum(counts.values())
+
+
+class AcceptedRows:
+    """The accepted rows of one corpus range, for a fold to read once.
+
+    Iterating gives ``(n, year, subjects, countries)`` rows, each standing
+    for n accepted lines, from the accepting loop :func:`_counted_rows`,
+    which loads no numpy; :meth:`blocks` gives the same rows as
+    :class:`~collabsim.columns.Block` columns. ``stats`` moves as either is
+    consumed.
+    """
+
+    def __init__(self, lines: _LineCounts, region_map: "RegionMap | None",
+                 policy: ValidationPolicy | None, stats: CorpusStats):
+        self._lines, self._stats = lines, stats
+        self._region_map, self._policy = region_map, policy
+
+    def __iter__(self) -> Iterator[tuple]:
+        return _counted_rows(self._lines, self._region_map, self._policy,
+                             self._stats)
+
+    def blocks(self) -> Iterator:
+        from .columns import read_blocks  # numpy, which validate never loads
+        return read_blocks(self._lines, self._region_map, self._policy,
+                           self._stats)
 
 
 def _fold_range(path, start: int, end: int | None, fold: Callable,
@@ -685,11 +746,12 @@ def _fold_range(path, start: int, end: int | None, fold: Callable,
     with open(path, "rb", buffering=0) as raw:
         lines = _LineCounts(_chunks(raw, start, end, sha))
         try:
-            result = fold(_counted_rows(lines, region_map, policy, stats))
+            result = fold(AcceptedRows(lines, region_map, policy, stats))
         except CorpusError:
             if lines.counted is not None:
-                # the line that failed stands for lines of a counted chunk:
-                # read it line by line to fail on its earliest failing line
+                # the line that failed stands for lines of a counted chunk,
+                # or was taken out of its chunk's order: read the chunk line
+                # by line to fail on its earliest failing line
                 try:
                     validate_corpus(_text_lines(lines.counted), region_map,
                                     policy)
@@ -723,12 +785,13 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
     """Fold the accepted rows of the corpus file at ``path``.
 
     The file is split into newline-aligned byte ranges (see
-    :data:`SHARD_MIN_BYTES`); ``fold`` consumes the ``(n, year, subjects,
-    countries)`` rows of one range, each standing for n accepted lines, and
-    returns a picklable result. Rows carry no id, and their order within a
-    chunk is not the lines' (see :class:`_LineCounts`). The first range is
-    folded in this process, every other one in a forked worker. Returns the
-    merged counters and the results in file order.
+    :data:`SHARD_MIN_BYTES`); ``fold`` consumes the :class:`AcceptedRows`
+    of one range, as ``(n, year, subjects, countries)`` rows, each standing
+    for n accepted lines, or as :class:`~collabsim.columns.Block` columns,
+    and returns a picklable result. Rows carry no id, and their order
+    within a chunk is not the lines' (see :class:`_LineCounts`). The first
+    range is folded in this process, every other one in a forked worker.
+    Returns the merged counters and the results in file order.
 
     Errors keep the meaning of a one-range pass: line numbers are global,
     a fail-fast run raises the error of the earliest failing line, and a

@@ -5,23 +5,27 @@ ordered (country, partner) pair; there is no fractionalization. All counts
 are integers, so shard-local tables merge exactly and the build is
 deterministic for any record order or partitioning.
 
-:class:`ProfileFold` is the bulk path: it interns each distinct country
-and subject set of a bounded chunk of records once and folds the chunk into
-integer count arrays. :func:`accumulate` is the per-record path.
+:class:`ProfileFold` is the bulk path: it takes the accepted rows of a
+corpus chunk as columns (:class:`~collabsim.columns.Block`), or records one
+at a time, buffers them in one compressed-row buffer of interned ids and
+folds each bounded piece of it into integer count arrays with numpy.
+:func:`accumulate` is the per-record path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
 from .aggregates import REGION_COUNTING_MODES, REGION_DEDUP, RegionYearCounts
 from .classify import (_KINDS, CollaborationType, TypeCounts, _summed,
                        check_mega_threshold, kind_index)
-from .corpus import PublicationRecord, RegionMap, _check_choice, region_of
+from .columns import Block, _distinct
+from .corpus import (_CODES, FIELD_CACHE_SIZE, PublicationRecord, RegionMap,
+                     _check_choice, region_of)
 
 DOMESTIC = "domestic"
 INTERNATIONAL = "international"
@@ -126,17 +130,18 @@ class BuildConfig:
 
 
 # Pending pair work, k * (k + m) per row of k countries and m subjects,
-# at which ProfileFold flushes. It bounds the flush temporaries, the index
-# arrays of one entry per code pair that np.add.at consumes, whatever the
-# consortium sizes; a bound on the record count does not. Measured on a
-# 2-vCPU Xeon with the seed-404 benchmark corpora: run_pipeline on one core
-# (best of 5; bulk_report's stays at 0.15 s) and CLI report peak RSS (median
-# of 10 alternating runs). 1 << 12 is slower on consortia.
+# at which ProfileFold flushes; a block is cut at the row where it is
+# reached. It bounds the flush temporaries, the index arrays of one entry
+# per code pair that np.add.at consumes, whatever the consortium sizes; a
+# bound on the record count does not. Measured on a 2-vCPU Xeon with the
+# seed-404 benchmark corpora and the fold reading columns: run_pipeline
+# process time on one core (best of 3, median of 5 processes) and CLI report
+# peak RSS (median of 5 alternating runs).
 #
-#   bound     consortia fold   bulk peak RSS   consortia peak RSS
-#   1 << 14   0.122 s          37.06 MB        40.79 MB
-#   1 << 15   0.115 s          37.48 MB        40.75 MB
-#   1 << 16   0.112 s          38.81 MB        42.25 MB
+#   bound     consortia fold   bulk fold   bulk peak RSS   consortia peak RSS
+#   1 << 14   0.066 s          0.112 s     36.89 MB        40.82 MB
+#   1 << 15   0.062 s          0.112 s     37.02 MB        40.74 MB
+#   1 << 16   0.061 s          0.122 s     38.07 MB        41.35 MB
 FLUSH_PAIRS = 1 << 15
 
 
@@ -171,16 +176,6 @@ def _weights(w: np.ndarray | None, rows: np.ndarray,
     return 1 if w is None else np.repeat(w[rows], counts)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of ``values``, an int array, in ascending order:
-    ``np.unique(values)`` without the ``numpy.ma`` import it costs."""
-    values = np.sort(values)
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
 def _grown(total: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``total`` zero-padded to ``shape`` (no axis shrinks)."""
     if total.shape == shape:
@@ -195,17 +190,6 @@ def _remap(ids: dict, codes) -> np.ndarray:
     :class:`_Ids`, codes new to ``ids`` are interned."""
     return np.fromiter(map(ids.__getitem__, codes), dtype=np.intp,
                        count=len(codes))
-
-
-def _distinct_sets(ids: _Ids, sets: list) -> tuple[np.ndarray, ...]:
-    """Each set's index among the distinct ``sets`` in order of first
-    appearance, and the distinct sets' sizes and code ids, concatenated;
-    interning them in that order gives each code the id that interning
-    every set in turn would."""
-    index = dict(zip(dict.fromkeys(sets), count()))
-    sizes = np.fromiter(map(len, index), dtype=np.intp, count=len(index))
-    return (_remap(index, sets), sizes,
-            _remap(ids, list(chain.from_iterable(index))))
 
 
 def _family_rows(counts: np.ndarray, family: str) -> np.ndarray:
@@ -224,17 +208,42 @@ def _profile(row: np.ndarray, names: list[str]) -> dict[str, int]:
                     row[nonzero].tolist()))
 
 
+class _SubjectIds(dict):
+    """Subjects entry of a :class:`~collabsim.columns.Block` -> the ids in
+    ``ids`` of its distinct codes, interning new ones. An entry is a layout
+    subjects text, whose items are stripped, or a set of codes taken as
+    they are. At most ``FIELD_CACHE_SIZE`` entries are kept: a miss at the
+    bound clears the cache."""
+
+    def __init__(self, ids: _Ids):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, key) -> tuple[int, ...]:
+        if len(self) >= FIELD_CACHE_SIZE:
+            self.clear()
+        codes = (map(str.strip, key[1:-1].decode("ascii").split('","'))
+                 if type(key) is bytes else key)
+        self[key] = ids = tuple(dict.fromkeys(map(self.ids.__getitem__,
+                                                  codes)))
+        return ids
+
+
 class ProfileFold:
     """Whole-counting fold of records into interned-id count arrays.
 
-    ``add_codes`` only appends a row, the year, country set, subject set
-    and weight n of n equal records, to buffers. Every ``FLUSH_PAIRS`` of
-    pending pair work, each distinct set of the buffers is interned once,
-    in order of first appearance, and (in dedup mode) its regions found
-    once; numpy expands the sets per row and adds the row's weight per
-    (row, code pair) with ``np.add.at`` into ``disc[kind, country,
-    subject]``, ``partner[kind, country, partner]`` and ``regions[region,
-    kind, year]``; only the region counts
+    ``add_block`` and ``add_codes`` intern a row's codes and append the
+    row, its year, weight n (it stands for n equal records), country ids
+    and subject ids, to one compressed-row buffer: a list of each block's
+    or row's columns, with each row's code counts. Countries are interned
+    through the fixed ids of a block (:data:`~collabsim.corpus._CODES`), a
+    table of 676, and subjects through a bounded text cache
+    (:class:`_SubjectIds`). Whenever the pending pair work reaches
+    ``FLUSH_PAIRS``, at the row where it does, the buffer is flushed:
+    numpy expands it per row and adds the row's weight per (row, code pair)
+    with ``np.add.at`` into ``disc[kind, country, subject]``,
+    ``partner[kind, country, partner]`` and ``regions[region, kind,
+    year]``, each region once per row in dedup mode; only the region counts
     keep a year axis, because only regional growth reads one. The partner
     diagonal ``partner[kind, c, c]`` counts the records of each kind that
     list ``c``. ``table`` (a :class:`ProfileTable` over copies of the
@@ -256,19 +265,25 @@ class ProfileFold:
         self._countries, self._subjects, self._years = _Ids(), _Ids(), _Ids()
         self._regions = _Ids()
         self._region_of: list[int] = []  # country id -> region id
+        # fixed id -> country id, -1 until a block looks the code up
+        self._country_of = np.full(len(_CODES), -1, dtype=np.intp)
+        self._subject_ids = _SubjectIds(self._subjects)
         self._disc = np.zeros((len(_KINDS), 0, 0), dtype=np.int64)
         self._partner = np.zeros((len(_KINDS), 0, 0), dtype=np.int64)
         self._region_years = np.zeros((0, len(_KINDS), 0), dtype=np.int64)
         self._reset_buffers()
 
     def _reset_buffers(self) -> None:
-        # the year, countries, subjects and weight of each pending row
-        self._y, self._cs, self._ss, self._w = [], [], [], []
+        # per block or row: year ids, weights, country counts, country ids,
+        # subject counts and subject ids
+        self._y, self._w, self._k, self._cs, self._m, self._ss = (
+            [], [], [], [], [], [])
         self._pending = 0
 
     def __getstate__(self) -> dict:
         """Flush first, so that only counts and intern dicts are pickled."""
         self._flush()
+        self._subject_ids.clear()
         return self.__dict__
 
     def add(self, record: PublicationRecord) -> None:
@@ -282,13 +297,53 @@ class ProfileFold:
         k = len(countries)
         if k < 1:
             raise ValueError("record has no countries")
-        self._y.append(year)
-        self._cs.append(countries)
-        self._ss.append(subjects)
-        self._w.append(n)
-        self._pending += k * (k + len(subjects))
+        subject_ids = self._subject_ids[subjects]
+        self._y.append((self._years[year],))
+        self._w.append((n,))
+        self._k.append((k,))
+        self._cs.append(tuple(map(self._countries.__getitem__, countries)))
+        self._m.append((len(subject_ids),))
+        self._ss.append(subject_ids)
+        self._pending += k * (k + len(subject_ids))
         if self._pending >= FLUSH_PAIRS:
             self._flush()
+
+    def add_block(self, block: Block) -> None:
+        """Fold the rows of ``block``."""
+        n, year, k, fixed, subjects = block
+        if not len(k):
+            return
+        if k.min() < 1:
+            raise ValueError("record has no countries")
+        countries = self._country_of[fixed]
+        if countries.min() < 0:
+            for code in _distinct(fixed[countries < 0]).tolist():
+                self._country_of[code] = self._countries[_CODES[code]]
+            countries = self._country_of[fixed]
+        subject_ids = list(map(self._subject_ids.__getitem__, subjects))
+        m = np.fromiter(map(len, subject_ids), dtype=np.intp, count=len(k))
+        subject_ids = np.fromiter(chain.from_iterable(subject_ids),
+                                  dtype=np.intp, count=int(m.sum()))
+        years = _distinct(year)
+        year = _remap(self._years, years.tolist())[np.searchsorted(years, year)]
+        # the buffer takes the rows up to the one where the pending pair
+        # work reaches FLUSH_PAIRS, and is flushed, as with add_codes
+        work, c_at, s_at = (np.concatenate(([0], np.cumsum(x)))
+                            for x in (k * (k + m), k, m))
+        a = 0
+        while a < len(k):
+            b = min(int(np.searchsorted(
+                work, work[a] + FLUSH_PAIRS - self._pending)), len(k))
+            self._y.append(year[a:b])
+            self._w.append(n[a:b])
+            self._k.append(k[a:b])
+            self._cs.append(countries[c_at[a]:c_at[b]])
+            self._m.append(m[a:b])
+            self._ss.append(subject_ids[s_at[a]:s_at[b]])
+            self._pending += int(work[b] - work[a])
+            if self._pending >= FLUSH_PAIRS:
+                self._flush()
+            a = b
 
     def _grow(self) -> tuple[int, int, int, int]:
         """Place every interned country in its region, size the count
@@ -304,45 +359,39 @@ class ProfileFold:
         return n_c, n_s, n_y, n_r
 
     def _flush(self) -> None:
-        if not self._y:
+        if not self._k:
             return
-        years, cs, ss, weights = self._y, self._cs, self._ss, self._w
+        year, w, k, c, m, s = (
+            np.concatenate(part).astype(np.intp, copy=False)
+            for part in (self._y, self._w, self._k, self._cs, self._m,
+                         self._ss))
         self._reset_buffers()
-        year = _remap(self._years, years)
-        w = None if max(weights) == 1 else np.array(weights, dtype=np.int64)
-        c_set, k_d, c_codes = _distinct_sets(self._countries, cs)
-        s_set, m_d, s_codes = _distinct_sets(self._subjects, ss)
         n_c, n_s, n_y, n_r = self._grow()
+        if w.max() == 1:
+            w = None
 
-        # per row: its sets' sizes and the offsets of their codes
-        k, c_at = k_d[c_set], (np.cumsum(k_d) - k_d)[c_set]
-        m, s_at = m_d[s_set], (np.cumsum(m_d) - m_d)[s_set]
         kind = kind_index(k, self.mega_threshold)
         # one entry per (row, country), with the row's weight
         rec = np.repeat(np.arange(len(k)), k)
-        row = kind[rec] * n_c + c_codes[_ranges(c_at, k)]
+        row = kind[rec] * n_c + c
         _scatter_add(self._disc, np.repeat(row, m[rec]) * n_s
-                     + s_codes[_ranges(s_at[rec], m[rec])],
+                     + s[_ranges((np.cumsum(m) - m)[rec], m[rec])],
                      _weights(w, rec, m[rec]))
         # every ordered (country, partner) pair, diagonal included: the
         # table reads the diagonal as the publication counts, then drops it
         # and the domestic kind from the partner profiles
         _scatter_add(self._partner, np.repeat(row, k[rec]) * n_c
-                     + c_codes[_ranges(c_at[rec], k[rec])],
+                     + c[_ranges((np.cumsum(k) - k)[rec], k[rec])],
                      _weights(w, rec, k[rec]))
-        del rec, row  # released once added, before the region entries
+        del row  # released once added, before the region entries
 
-        # each distinct country set's regions (once each in dedup mode)
-        region = np.asarray(self._region_of, dtype=np.intp)[c_codes]
-        owner = np.repeat(np.arange(len(k_d)), k_d)
+        # each row's regions (once each in dedup mode)
+        region = np.asarray(self._region_of, dtype=np.intp)[c]
         if self.region_counting == REGION_DEDUP:
-            owner, region = divmod(_distinct(owner * n_r + region), n_r)
-        r_d = np.bincount(owner, minlength=len(k_d))
-        r, r_at = r_d[c_set], (np.cumsum(r_d) - r_d)[c_set]
-        rec = np.repeat(np.arange(len(k)), r)
+            rec, region = divmod(_distinct(rec * n_r + region), n_r)
         _scatter_add(self._region_years,
-                     (region[_ranges(r_at, r)] * len(_KINDS) + kind[rec]) * n_y
-                     + year[rec], _weights(w, rec, 1))
+                     (region * len(_KINDS) + kind[rec]) * n_y + year[rec],
+                     _weights(w, rec, 1))
 
     def merge(self, other: "ProfileFold") -> "ProfileFold":
         """Add the counts of ``other``, a fold with the same settings, into

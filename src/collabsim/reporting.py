@@ -97,13 +97,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     def fold_range(rows):
         fold = ProfileFold(cfg.mega_threshold, region_map, cfg.region_counting)
-        add, year_min, year_max = fold.add_codes, cfg.year_min, cfg.year_max
         n_year_filtered = 0
-        for n, year, subjects, countries in rows:
-            if year_min <= year <= year_max:
-                add(year, countries, subjects, n)
-            else:
-                n_year_filtered += n
+        for block in rows.blocks():
+            keep = (block.year >= cfg.year_min) & (block.year <= cfg.year_max)
+            if not keep.all():
+                n_year_filtered += int(block.n[~keep].sum())
+                block = block.take(keep)
+            fold.add_block(block)
         return fold, n_year_filtered
 
     stats, parts = fold_corpus(cfg.input, fold_range, region_map, cfg.policy(),
