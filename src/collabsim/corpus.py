@@ -16,11 +16,14 @@ accepts content the field rules take at once and alone words every
 rejection. A folding pass reads each distinct line of a chunk once,
 with the number of its copies (:class:`_LineCounts`).
 
-The profile fold reads a chunk as columns (:meth:`AcceptedRows.blocks`,
-:mod:`collabsim.columns`): the layout lines whose fields are already
-canonical are decoded in numpy, and every other line, with its weight,
-takes the accepting loop above. ``validate`` folds no profile and keeps the
-loop alone, which loads no numpy.
+Every pass over a corpus file reads each chunk through one chunk matcher
+(:class:`_ChunkMatcher`): one ``findall`` takes the layout lines whose
+fields every rule takes as they stand, a year in the window, subjects that
+are not blank and capital codes the region map places, and every other
+line goes with its weight to the accepting loop above, which normalizes it
+or words its rejection. ``validate`` reads only the counters and loads no
+numpy; the profile fold decodes the taken lines in numpy
+(:meth:`AcceptedRows.blocks`, :mod:`collabsim.columns`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import string
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import chain, repeat, starmap
+from itertools import chain, compress, repeat, starmap
+from operator import not_
 from typing import Callable, Iterable, Iterator
 
 DEFAULT_YEAR_WINDOW = (1900, 2100)
@@ -654,8 +658,8 @@ COUNTED_DISTINCT_MAX = 0.75
 
 class _LineCounts:
     """The lines of a corpus range as ``(line, n)`` pairs, each standing
-    for n equal lines; :func:`collabsim.columns.read_blocks` reads the same
-    chunks as columns.
+    for n equal lines; :meth:`_ChunkMatcher.chunks` reads the same chunks
+    whole.
 
     Each chunk of :func:`_chunks` is counted in C: its layout ids are
     swapped for one (:data:`_LEAD_ID`), it is split into lines, the lines
@@ -664,10 +668,11 @@ class _LineCounts:
     whose lines would keep ends the layout does not match; one longer than
     two chunks, so that counting does not copy its long line twice more;
     and the chunks after one that hardly repeated
-    (:data:`COUNTED_DISTINCT_MAX`); read in columns, these last are matched
-    as they are read. ``counted`` is the chunk being read whose lines are
-    not taken one by one in file order, else None: a counted chunk, or any
-    chunk read in columns. ``before`` is the number of lines before it.
+    (:data:`COUNTED_DISTINCT_MAX`); read by the chunk matcher, these last
+    are matched as they are read. ``counted`` is the chunk being read whose
+    lines are not taken one by one in file order, else None: a counted
+    chunk, or any chunk the matcher reads. ``before`` is the number of
+    lines before it.
     """
 
     def __init__(self, chunks: Iterable[bytes]):
@@ -715,46 +720,168 @@ class _LineCounts:
                 self.before += sum(counts.values())
 
 
+def _alternation(words: Iterable[str]) -> str:
+    """A pattern that matches the strings of ``words``, all of one length,
+    and no other: one branch per first character, where the characters
+    whose rests match alike share a class. No word matches nothing."""
+    rests: dict[str, list[str]] = {}
+    for word in sorted(words):
+        rests.setdefault(word[:1], []).append(word[1:])
+    if not rests:
+        return "(?!)"
+    if "" in rests:  # the words are empty
+        return ""
+    heads: dict[str, str] = {}  # rest pattern -> its first characters
+    for head, rest in rests.items():
+        pattern = _alternation(rest)
+        heads[pattern] = heads.get(pattern, "") + head
+    branches = [(re.escape(head) if len(head) == 1 else
+                 "[%s]" % "".join(map(re.escape, head))) + pattern
+                for pattern, head in heads.items()]
+    return branches[0] if len(branches) == 1 else "(?:%s)" % "|".join(branches)
+
+
+class _ChunkMatcher:
+    """The chunk reader of one pass: the lines of a chunk that every rule
+    takes as they stand are found by one ``findall``, and only the others
+    take the accepting loop :func:`_counted_rows`.
+
+    The pattern, compiled once per pass and before any worker is forked,
+    takes a line in the corpus layout with a year in
+    :data:`DEFAULT_YEAR_WINDOW`, subject codes that are not blank and
+    country codes of two capital letters that the region map places: any,
+    under ``keep`` or with no map, and none with an empty map. Matched over
+    many lines (``re.M``), it gives the year, subjects and countries texts
+    of such a line, and three empty groups for any other line, blank or
+    not, so that match i is line i. Lower-case and padded codes, other
+    spellings and every defect go to the loop, which normalizes a line or
+    alone words its rejection.
+    """
+
+    def __init__(self, region_map: "RegionMap | None",
+                 policy: ValidationPolicy | None):
+        self.region_map = region_map
+        self.policy = policy = policy or ValidationPolicy()
+        country = '"[A-Z]{2}"'
+        if region_map is not None and policy.unmapped_country != KEEP:
+            country = '"%s"' % _alternation(
+                _CANONICAL_CODES.intersection(region_map))
+        lo, hi = DEFAULT_YEAR_WINDOW
+        year = _alternation(map(str, range(lo, hi + 1)))
+        subject = rf'" *[!#-\[\]-~]{_CHAR}*"'
+        self.pattern = re.compile(
+            rf'^(?:\{{"id":"{_CHAR}+","year":({year}),'
+            rf'"subjects":\[({subject}(?:,{subject})*)\],'
+            rf'"countries":\[({country}(?:,{country})*)\]\}}$|.*)'.encode(),
+            re.M)
+
+    def rows(self, lines: Iterable[tuple[str, int]],
+             stats: CorpusStats) -> Iterator[tuple]:
+        """The accepting loop's rows of the ``(line, n)`` pairs ``lines``."""
+        return _counted_rows(lines, self.region_map, self.policy, stats)
+
+    def chunks(self, lines: _LineCounts, stats: CorpusStats) -> Iterator:
+        """Per chunk of ``lines``: the ``(years, subjects, countries)``
+        texts of its lines, one entry a line and empty where the pattern
+        refuses the line, the lines' weights, and the loop's rows of the
+        refused lines.
+
+        ``stats`` moves by the taken lines' summed weights when a chunk is
+        yielded, and by the refused ones as its rows are consumed. A chunk
+        that holds a CR or is longer than two chunks goes to the loop whole.
+        While a chunk is read, ``lines.counted`` is that chunk, so a
+        :class:`CorpusError` makes the range read it again line by line.
+        """
+        for chunk, counts in lines.counted_chunks():
+            lines.counted = chunk
+            if counts is None and lines.line_path(chunk):
+                text_lines = _text_lines(chunk).readlines()
+                n_lines = len(text_lines)
+                texts, weights = ((), (), ()), []
+                refused = zip(text_lines, repeat(1))
+            else:
+                if counts is None:
+                    distinct, text = None, chunk
+                else:
+                    distinct = list(counts)
+                    text = b"".join(distinct)
+                matches = self.pattern.findall(text)
+                if not text or text.endswith(b"\n"):
+                    del matches[-1]  # the empty match after the last LF
+                weights = ([1] * len(matches) if counts is None
+                           else list(counts.values()))
+                n_lines = sum(weights)
+                texts = tuple(zip(*matches)) or ((), (), ())
+                years = texts[0]
+                taken = sum(compress(weights, years))
+                if taken:
+                    stats.total_lines += taken
+                    stats.accepted += taken
+                    low = int(min(filter(None, years)))
+                    high = int(max(years))
+                    if stats.year_min is None or low < stats.year_min:
+                        stats.year_min = low
+                    if stats.year_max is None or high > stats.year_max:
+                        stats.year_max = high
+                if taken == n_lines:
+                    refused = ()
+                else:
+                    if distinct is None:
+                        distinct = chunk.splitlines(keepends=True)
+                    keep = list(map(not_, years))
+                    refused = zip(map(str, compress(distinct, keep),
+                                      repeat("utf-8"),
+                                      repeat("surrogateescape")),
+                                  compress(weights, keep))
+            yield texts, weights, self.rows(refused, stats)
+            lines.before += n_lines
+
+
 class AcceptedRows:
     """The accepted rows of one corpus range, for a fold to read once.
 
     Iterating gives ``(n, year, subjects, countries)`` rows, each standing
-    for n accepted lines, from the accepting loop :func:`_counted_rows`,
-    which loads no numpy; :meth:`blocks` gives the same rows as
-    :class:`~collabsim.columns.Block` columns. ``stats`` moves as either is
-    consumed.
+    for n accepted lines, from the accepting loop :func:`_counted_rows`;
+    :meth:`blocks` gives the same rows as :class:`~collabsim.columns.Block`
+    columns, and :meth:`tally` reads only the counters. ``stats`` moves as
+    any of them is consumed. Only :meth:`blocks` loads numpy.
     """
 
-    def __init__(self, lines: _LineCounts, region_map: "RegionMap | None",
-                 policy: ValidationPolicy | None, stats: CorpusStats):
-        self._lines, self._stats = lines, stats
-        self._region_map, self._policy = region_map, policy
+    def __init__(self, lines: _LineCounts, matcher: _ChunkMatcher,
+                 stats: CorpusStats):
+        self._lines, self._matcher, self._stats = lines, matcher, stats
 
     def __iter__(self) -> Iterator[tuple]:
-        return _counted_rows(self._lines, self._region_map, self._policy,
-                             self._stats)
+        return self._matcher.rows(self._lines, self._stats)
 
     def blocks(self) -> Iterator:
         from .columns import read_blocks  # numpy, which validate never loads
-        return read_blocks(self._lines, self._region_map, self._policy,
-                           self._stats)
+        return read_blocks(self._matcher.chunks(self._lines, self._stats))
+
+    def tally(self) -> None:
+        """Move ``stats`` over the range and keep no row: the fold of a
+        pass that wants only its counters. The lines the chunk matcher
+        takes build no row; only the others take the accepting loop."""
+        for _, _, rows in self._matcher.chunks(self._lines, self._stats):
+            drain(rows)
 
 
 def _fold_range(path, start: int, end: int | None, fold: Callable,
-                region_map, policy, sha=None) -> tuple[CorpusStats, object]:
+                matcher: _ChunkMatcher,
+                sha=None) -> tuple[CorpusStats, object]:
     stats = CorpusStats()
     with open(path, "rb", buffering=0) as raw:
         lines = _LineCounts(_chunks(raw, start, end, sha))
         try:
-            result = fold(AcceptedRows(lines, region_map, policy, stats))
+            result = fold(AcceptedRows(lines, matcher, stats))
         except CorpusError:
             if lines.counted is not None:
                 # the line that failed stands for lines of a counted chunk,
                 # or was taken out of its chunk's order: read the chunk line
                 # by line to fail on its earliest failing line
                 try:
-                    validate_corpus(_text_lines(lines.counted), region_map,
-                                    policy)
+                    validate_corpus(_text_lines(lines.counted),
+                                    matcher.region_map, matcher.policy)
                 except CorpusError as exc:
                     exc.line_no += lines.before
                     raise exc from None
@@ -797,11 +924,14 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
     a fail-fast run raises the error of the earliest failing line, and a
     worker that raises or dies without a result fails the run; the other
     workers are then killed. Every worker is reaped before this returns.
-    Every range is read by :func:`_chunks`. With ``sha``, a hashlib
-    object, the corpus is read as one range, which updates ``sha`` with
-    every byte: a stream cannot be read again to digest it.
+    Every range is read by :func:`_chunks`, through one chunk matcher
+    (:class:`_ChunkMatcher`) built before any worker is forked. With
+    ``sha``, a hashlib object, the corpus is read as one range, which
+    updates ``sha`` with every byte: a stream cannot be read again to
+    digest it.
     """
     ranges = [(0, None)] if sha is not None else _byte_ranges(path)
+    matcher = _ChunkMatcher(region_map, policy)
     workers = []  # (pid, pipe) of each worker not yet reaped, in file order
     try:
         for start, end in ranges[1:]:
@@ -810,16 +940,14 @@ def fold_corpus(path, fold: Callable[[Iterator[tuple]], object],
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write_end, path, start, end, fold, region_map,
-                          policy)
+                    _work(write_end, path, start, end, fold, matcher)
             except OSError:
                 pipe.close()
                 raise
             finally:
                 os.close(write_end)
             workers.append((pid, pipe))
-        stats, result = _fold_range(path, *ranges[0], fold, region_map,
-                                    policy, sha)
+        stats, result = _fold_range(path, *ranges[0], fold, matcher, sha)
         results = [result]
         for start, end in ranges[1:]:
             pid, pipe = workers[0]

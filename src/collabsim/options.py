@@ -22,9 +22,9 @@ from pathlib import Path
 from .classify import check_mega_threshold
 from .corpus import (
     SKIP,
+    AcceptedRows,
     ValidationPolicy,
     _check_choice,
-    drain,
     fold_corpus,
     load_region_map,
 )
@@ -100,9 +100,18 @@ class RunConfig:
 
 
 def run_validate(cfg: RunConfig, stream=None) -> int:
-    """Validate the corpus and print the counters as one JSON line."""
+    """Validate the corpus and print the counters as one JSON line.
+
+    Each chunk's layout lines with a year in the window, subjects that are
+    not blank and capital country codes the region map places (any, under
+    ``keep`` or with no map) are counted by the chunk matcher's ``findall``
+    alone (:meth:`~collabsim.corpus.AcceptedRows.tally`); only the other
+    lines take the accepting loop, which normalizes them or words their
+    rejection. No row is built for a taken line, and numpy is not loaded.
+    """
     region_map = load_region_map(cfg.regions) if cfg.regions else None
-    stats, _ = fold_corpus(cfg.input, drain, region_map, cfg.policy())
+    stats, _ = fold_corpus(cfg.input, AcceptedRows.tally, region_map,
+                           cfg.policy())
     out = stream if stream is not None else sys.stdout
     json.dump(stats.as_dict(), out)
     out.write("\n")

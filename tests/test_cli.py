@@ -116,25 +116,36 @@ def test_validate_reports_skips(tmp_path, capsys):
     assert stats["year_range"] == [2010, 2012]
 
 
-def test_validate_loads_no_numpy(inputs, tmp_path, capsys):
+@pytest.mark.parametrize("flags, status", [
+    (["--unmapped-policy", "skip"], 0), (["--unmapped-policy", "keep"], 0),
+    (["--unmapped-policy", "fail"], 2), (["--fail-fast"], 2)],
+    ids=["skip", "keep", "fail", "fail-fast"])
+def test_validate_loads_no_numpy(inputs, tmp_path, capsys, flags, status):
     corpus, regions = inputs
     dirty = tmp_path / "dirty.jsonl"
     dirty.write_text(CORPUS + "garbage\n" + '{"id":"u","year":2010,'
                      '"subjects":["A"],"countries":["XX"]}\n')
-    args = ["validate", "--input", str(dirty), "--regions", str(regions)]
+    args = ["validate", "--input", str(dirty), "--regions", str(regions),
+            *flags]
     code = ("import sys\n"
             "from collabsim.cli import main\n"
             "status = main(sys.argv[1:])\n"
             "assert 'numpy' not in sys.modules, 'validate imported numpy'\n"
+            "assert 'collabsim.columns' not in sys.modules\n"
             "sys.exit(status)\n")
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert _run(args) == 0
-    assert proc.stdout == capsys.readouterr().out
+    assert proc.returncode == status, proc.stderr
+    assert _run(args) == status
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    if status:
+        assert json.loads(proc.stderr)["exit_code"] == 2
+        return
     assert json.loads(proc.stdout) == {
-        "total_lines": 8, "accepted": 6, "skipped_missing_country": 0,
-        "skipped_missing_subject": 0, "skipped_unmapped_country": 1,
+        "total_lines": 8, "accepted": 6 + (flags[-1] == "keep"),
+        "skipped_missing_country": 0, "skipped_missing_subject": 0,
+        "skipped_unmapped_country": int(flags[-1] == "skip"),
         "skipped_malformed": 1, "year_range": [2010, 2012]}
 
 

@@ -1,6 +1,8 @@
-"""The columnar chunk fold: the blocks a folding pass reads in numpy give
-the counters, profiles and region counts of the line loop and the oracle."""
+"""The chunk matcher and the columnar chunk fold: validate's counters and
+the blocks a folding pass reads in numpy give the counters, profiles and
+region counts of the line loop and the oracle."""
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collabsim import columns, corpus, profiles
-from collabsim.corpus import CorpusError, CorpusStats, iter_accepted
-from collabsim.options import RunConfig
+from collabsim.corpus import (CorpusError, CorpusStats, iter_accepted,
+                              validate_corpus)
+from collabsim.options import RunConfig, run_validate
 from collabsim.profiles import ProfileFold, dump_rows
 from collabsim.reporting import run_pipeline
 from oracle import (DISC_FAMILIES, PART_FAMILIES, recount, recount_regions)
@@ -169,6 +172,61 @@ def test_column_fold_equals_line_pass(data, action, mega, mode, chunk,
     assert got[3] == recount_regions(
         kept, lambda code: REGION_MAP.get(code, "UNKNOWN"), mode == "country",
         mega)
+
+
+_MIXED = (
+    b'{"id":"p1","year":2012,"subjects":["A"],"countries":["NL"]}\n'
+    b'{"id":"p2","year":2008,"subjects":[" B"],"countries":["ES","NL"]}\n'
+    b'{"id":"p3","year":2010,"subjects":["A"],"countries":["NL","XX"]}\n'
+    b'{"id":"p4","year":2101,"subjects":["A"],"countries":["ZA"]}\n'
+    b'{"id":"p5","year":2010,"subjects":["A"],"countries":["za"]}\n'
+    b'{"id":"p6","year":2100,"subjects":["A"],"countries":["FR"]}\n'
+    b'{"id":"p7","year":1899,"subjects":["A"],"countries":["NL"]}\n')
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corpus(), st.sampled_from(["skip", "keep", "fail"]), st.booleans(),
+       st.booleans(), st.sampled_from([48, 200, 1 << 16]),
+       st.sampled_from([corpus.COUNTED_DISTINCT_MAX, 0.0, 1.0]),
+       st.sampled_from([1, 3]))
+@example(_MIXED, "skip", False, True, 1 << 16, 1.0, 1)
+@example(_MIXED, "keep", False, True, 48, 0.0, 3)
+@example(_MIXED, "skip", True, True, 200, 1.0, 1)
+@example(_MIXED, "fail", False, True, 1 << 16, 0.0, 1)
+@example(_MIXED * 2, "skip", False, False, 200, 1.0, 3)
+def test_validate_equals_line_pass(data, action, fail_fast, mapped, chunk,
+                                   distinct_max, workers):
+    """CLI validate, which counts the lines the chunk matcher takes and
+    sends only the others through the accepting loop, prints the counters
+    of the per-line pass, in chunks counted or not and cut into ranges or
+    not; a fail-fast run fails on the line pass's line with its
+    message."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        tmp = Path(tmp)
+        path, regions = tmp / "corpus.jsonl", tmp / "regions.csv"
+        path.write_bytes(data)
+        regions.write_text(REGIONS_CSV)
+        cfg = RunConfig(path, regions if mapped else None, tmp / "out",
+                        fail_fast=fail_fast, unmapped_policy=action)
+        try:
+            with corpus.open_corpus(path) as lines:
+                stats = validate_corpus(lines, REGION_MAP if mapped else None,
+                                        cfg.policy())
+            expected = json.dumps(stats.as_dict()) + "\n"
+        except CorpusError as exc:
+            expected = f"error: {exc}"
+        patch.setattr(corpus, "READ_CHUNK", chunk)
+        patch.setattr(corpus, "COUNTED_DISTINCT_MAX", distinct_max)
+        patch.setattr(corpus, "SHARD_MIN_BYTES", 64)
+        patch.setattr(corpus, "SHARD_WORKERS", workers)
+        out = io.StringIO()
+        try:
+            assert run_validate(cfg, out) == 0
+            got = out.getvalue()
+        except CorpusError as exc:
+            got = f"error: {exc}"
+    assert got == expected
 
 
 def test_fail_fast_names_the_line_of_the_line_pass(tmp_path, monkeypatch):

@@ -417,6 +417,47 @@ def test_validate_fail_fast_year_window(tmp_path):
     assert str(err.value) == "line 2: year 1850 outside accepted window 1900-2100"
 
 
+_RANDOM_MAP = {code: "R%d" % (i % 3) for i, code in enumerate(
+    random.Random(29).sample(corpus._CODES, 300))}
+
+
+def _taken(matcher, line, values):
+    """The values whose layout line, ``line`` with the value put in, the
+    chunk matcher takes, over one chunk of all of them."""
+    text = "".join(line % value + "\n" for value in values).encode()
+    matches = matcher.pattern.findall(text)[:-1]
+    assert len(matches) == len(values)
+    return {value for value, (year, _, _) in zip(values, matches) if year}
+
+
+@pytest.mark.parametrize("region_map, action, mapped", [
+    (_RANDOM_MAP, "skip", set(_RANDOM_MAP)),
+    (_RANDOM_MAP, "fail", set(_RANDOM_MAP)),
+    ({}, "skip", set()),
+    ({"nl": "North", "USA": "North", "ES": "South", "ZA": "South"}, "skip",
+     {"ES", "ZA"}),
+    (_RANDOM_MAP, "keep", set(corpus._CODES)),
+    (None, "skip", set(corpus._CODES)),
+])
+def test_chunk_matcher_takes_exactly_the_mapped_codes(region_map, action,
+                                                      mapped):
+    """Of the layout lines with each code AA..ZZ, the chunk matcher takes
+    those whose code is mapped: under keep and with no map, every one.
+    Each year 1000-9999 is taken if and only if it lies in
+    DEFAULT_YEAR_WINDOW; other year texts never are."""
+    matcher = corpus._ChunkMatcher(region_map,
+                                   ValidationPolicy(unmapped_country=action))
+    line = '{"id":"p","year":%s,"subjects":["A"],"countries":["%s"]}'
+    assert _taken(matcher, line % (2010, "%s"), corpus._CODES) == mapped
+    lo, hi = corpus.DEFAULT_YEAR_WINDOW
+    line = line % ("%s", min(mapped, default="NL"))
+    years = [str(year) for year in range(1000, 10000)]
+    assert _taken(matcher, line, years) == (
+        set(map(str, range(lo, hi + 1))) if mapped else set())
+    assert not _taken(matcher, line, ["999", "10000", "01950", "-1950",
+                                      "1950.0", "1950e0", '"1950"', ""])
+
+
 _LINE = st.one_of(
     st.builds(
         lambda i, year, subs, cs: json.dumps(

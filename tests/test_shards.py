@@ -213,8 +213,8 @@ def _per_line(path, start, end, region_map, policy):
 
 def _counted(path, start, end, region_map, policy):
     try:
-        stats, rows = corpus._fold_range(path, start, end, list, region_map,
-                                         policy)
+        stats, rows = corpus._fold_range(
+            path, start, end, list, corpus._ChunkMatcher(region_map, policy))
     except CorpusError as exc:
         return f"error: {exc}"
     return stats, expanded(rows)
